@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification or retrieval failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -264,6 +265,7 @@ def _cmd_girth_search(args: argparse.Namespace) -> int:
     return 0 if result.exact else 3
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcbc",

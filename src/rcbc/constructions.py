@@ -303,11 +303,16 @@ def construct_gap(p: CodeParams, base: BatchCode) -> BatchCode:
 
 @dataclass(frozen=True)
 class RegimePrediction:
-    """A weight formula's verdict: value, regime tag, and its strength."""
+    """A weight formula's verdict: value, regime tag, and its strength.
+
+    `budget_limited` marks an unknown prediction that only an inexact gap
+    base search left unknown, so a larger budget might cover p.
+    """
 
     value: int | None
     regime: str | None
     exactness: Literal["proven-optimal", "upper-bound"] | None
+    budget_limited: bool = False
 
     @property
     def known(self) -> bool:
@@ -325,18 +330,18 @@ class NoKnownConstruction(ValueError):
         self.budget_limited = budget_limited
 
 
-_base_cache: dict[tuple[int, int, int], search.SearchResult] = {}
+# Exact base maxima keyed by (k, m, r), reused under any budget; results cut
+# short by the budget keyed by (k, m, r, budget), so a new budget searches again.
+_base_cache: dict[tuple, search.SearchResult] = {}
 
 
 def _gap_base(k: int, m: int, r: int, budget) -> search.SearchResult:
-    key = (k, m, r)
-    hit = _base_cache.get(key)
-    if hit is not None:
-        return hit
-    result = search.gap_base_max(k, m, r, budget=budget)
-    if result.exact:
-        _base_cache[key] = result
-    return result
+    budget = budget or search.DEFAULT_BUDGET
+    hit = _base_cache.get((k, m, r)) or _base_cache.get((k, m, r, budget))
+    if hit is None:
+        hit = search.gap_base_max(k, m, r, budget=budget)
+        _base_cache[(k, m, r) if hit.exact else (k, m, r, budget)] = hit
+    return hit
 
 
 def predicted_weight(
@@ -347,7 +352,8 @@ def predicted_weight(
     All applicable formulas must agree (they are facts about the same
     minimum); the returned tag names the first applicable regime.  Returns
     an unknown prediction when no regime covers p.  The gap regime needs the
-    base packing maximum, searched under `budget` and cached per (k, m, r).
+    base packing maximum, searched under `budget` and cached per (k, m, r),
+    or per (k, m, r, budget) when the budget cut the search short.
     """
     validate_params(p)
     n, k, m, r = p.n, p.k, p.m, p.r
@@ -376,7 +382,7 @@ def predicted_weight(
             if n >= total - span * base.value:
                 found.append(("gap", (r + k - 1) * n - (total - n) // span))
     if not found:
-        return RegimePrediction(None, None, None)
+        return RegimePrediction(None, None, None, budget_limited)
     values = {v for _, v in found}
     if len(values) != 1:
         detail = ", ".join(f"{tag}={v}" for tag, v in found)
@@ -395,17 +401,7 @@ def construct_optimal(
     """
     prediction = predicted_weight(p, budget=budget)
     if not prediction.known:
-        limited = False
-        if p.k >= 3 and p.m >= p.r + p.k:
-            total = (p.k - 1) * _comb(p.m, p.r + p.k - 1)
-            span = p.m - p.r - p.k + 1
-            cap = ((p.k - 1) * _comb(p.m, p.r + p.k - 2)) // (p.r + p.k - 1)
-            if total - span * cap <= p.n < total:
-                # Inside the widest conceivable gap interval, so only an
-                # inexact base search can be the blocker.
-                cached = _base_cache.get((p.k, p.m, p.r))
-                limited = cached is None or not cached.exact
-        raise NoKnownConstruction(p, budget_limited=limited)
+        raise NoKnownConstruction(p, budget_limited=prediction.budget_limited)
     builders = {
         "k1": lambda: BatchCode(
             p.m, [_window((j - 1) % p.m + 1, p.r + 1, p.m) for j in range(1, p.n + 1)]

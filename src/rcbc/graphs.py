@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .core import BatchCode
-from .search import DEFAULT_BUDGET, SearchBudget, SearchResult, _Meter, _BudgetExhausted
+from .search import DEFAULT_BUDGET, BudgetExhausted, Meter, SearchBudget, SearchResult
 
 __all__ = [
     "GraphFormatError",
@@ -120,22 +120,27 @@ def graph_from_code(code: BatchCode) -> SimpleGraph:
     return SimpleGraph(code.m, code.columns)
 
 
-def _distance_at_least(adj: list[list[int]], u: int, v: int, d: int) -> bool:
-    # BFS from u, stopping once depth d would be reached anyway.
+def _distance_at_least(adj: list[int], u: int, v: int, d: int) -> bool:
+    """Whether u and v are at distance >= d; adj[x] is x's neighbour bitmask.
+
+    Frontier BFS from u over bitmasks, stopping after d - 1 steps.
+    """
     if u == v:
         return d <= 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if dist[x] + 1 >= d:
-            continue
-        for y in adj[x]:
-            if y not in dist:
-                if y == v:
-                    return False
-                dist[y] = dist[x] + 1
-                queue.append(y)
+    target = 1 << v
+    seen = frontier = 1 << u
+    for _ in range(d - 1):
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        if reach & target:
+            return False
+        frontier = reach & ~seen
+        if not frontier:
+            break
+        seen |= frontier
     return True
 
 
@@ -155,8 +160,8 @@ def max_edges_with_girth(
         raise ValueError(f"girth bound must be at least 3, got {girth_min}")
     budget = budget or DEFAULT_BUDGET
     all_edges = list(combinations(range(1, m + 1), 2))
-    meter = _Meter(budget)
-    adj: list[list[int]] = [[] for _ in range(m + 1)]
+    meter = Meter(budget)
+    adj = [0] * (m + 1)  # neighbour bitmask of each vertex
     chosen: list[tuple[int, int]] = []
     best = -1
     best_edges: list[tuple[int, int]] = []
@@ -173,19 +178,19 @@ def max_edges_with_girth(
         u, v = all_edges[idx]
         meter.tick()
         if _distance_at_least(adj, u, v, girth_min - 1):
-            adj[u].append(v)
-            adj[v].append(u)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
             chosen.append((u, v))
             descend(idx + 1)
             chosen.pop()
-            adj[u].pop()
-            adj[v].pop()
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
         descend(idx + 1)
 
     exhausted = False
     try:
         descend(0)
-    except _BudgetExhausted:
+    except BudgetExhausted:
         exhausted = True
 
     witness = code_from_graph(SimpleGraph(m, best_edges))

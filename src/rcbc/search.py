@@ -2,10 +2,10 @@
 
 Searches run over multisets of candidate columns in nondecreasing
 (cardinality, lexicographic) order, so every result and witness is
-deterministic.  Feasibility is tracked incrementally: for each server subset
-I with r+1 <= |I| <= r+k-1, at most |I| - r columns may sit inside I.  A
-completed multiset passing every counter is exactly a code, and columns of
-cardinality r+k touch no counter at all.
+deterministic.  Feasibility is tracked incrementally by a `_Placement`: for
+each server subset I with r+1 <= |I| <= r+k-1, at most |I| - r columns may
+sit inside I.  A completed multiset passing every counter is exactly a code,
+and columns of cardinality r+k touch no counter at all.
 
 Row relabeling symmetry is broken at the first column only: the least column
 of an optimal multiset can always be relabeled to a prefix {1, ..., c}.
@@ -70,49 +70,88 @@ class SearchResult:
         return self.exact and self.value is None
 
 
-class _BudgetExhausted(Exception):
-    pass
+class BudgetExhausted(Exception):
+    """Raised by Meter.tick once the search budget is spent."""
 
 
-class _Meter:
-    """Counts search nodes and enforces the budget."""
+class Meter:
+    """Counts search nodes and enforces the budget.
+
+    tick() raises BudgetExhausted when the count reaches the node limit, or,
+    checked every 4096 nodes, once the time limit has passed.
+    """
 
     def __init__(self, budget: SearchBudget) -> None:
         self.nodes = 0
         self.limit = budget.node_limit
         self.deadline = time.monotonic() + budget.time_limit
+        self._check_at = min(self.limit, 4096)
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.nodes >= self.limit:
-            raise _BudgetExhausted
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _BudgetExhausted
+        if self.nodes >= self._check_at:
+            if self.nodes >= self.limit or time.monotonic() > self.deadline:
+                raise BudgetExhausted
+            self._check_at = min(self.limit, self.nodes + 4096)
 
 
-def _counter_capacities(m: int, k: int, r: int) -> dict[int, int]:
-    """Capacity |I| - r for every tracked server subset I, as bitmasks."""
-    caps: dict[int, int] = {}
-    for d in range(r + 1, min(r + k - 1, m) + 1):
-        for rows in combinations(range(m), d):
-            caps[sum(1 << b for b in rows)] = d - r
-    return caps
+def _check_batch(k: int, m: int, r: int) -> None:
+    if not 0 <= r < m:
+        raise ParameterError(f"need 0 <= r < m, got r={r}, m={m}")
+    if k < 1 or k > m - r:
+        raise ParameterError(f"need 1 <= k <= m-r, got k={k}, m-r={m - r}")
 
 
-def _tracked_supersets(mask: int, card: int, m: int, k: int, r: int) -> tuple[int, ...]:
-    """All counter subsets containing a column of this mask and cardinality."""
-    if card >= r + k:
-        return ()
-    rest = [b for b in range(m) if not mask >> b & 1]
-    out = [mask]
-    for extra in range(1, (r + k - 1) - card + 1):
-        for add in combinations(rest, extra):
-            out.append(mask | sum(1 << b for b in add))
-    return tuple(out)
+class _Placement:
+    """Room left in every tracked server subset, for candidate columns.
 
+    Tracked subset I (r+1 <= |I| <= r+k-1) starts with room |I| - r, and
+    `full` has bit i set when subset i has no room left.  Candidate j
+    touches the subsets in touched[j] (those containing it), whose bits
+    make up mask[j]; it fits exactly when mask[j] misses `full`.
+    """
 
-def _prefix_tuple(card: int) -> tuple[int, ...]:
-    return tuple(range(1, card + 1))
+    def __init__(self, m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> None:
+        index: dict[int, int] = {}  # subset bitmask -> position in room
+        self.room: list[int] = []
+        for d in range(r + 1, min(r + k - 1, m) + 1):
+            for rows in combinations(range(m), d):
+                index[sum(1 << b for b in rows)] = len(self.room)
+                self.room.append(d - r)
+        self.touched: list[tuple[int, ...]] = []
+        for col in columns:
+            bits = sum(1 << (s - 1) for s in col)
+            rest = [1 << b for b in range(m) if not bits >> b & 1]
+            self.touched.append(tuple(
+                index[bits | sum(add)]
+                for extra in range(r + k - len(col))
+                for add in combinations(rest, extra)
+            ))
+        self.mask = [sum(1 << i for i in t) for t in self.touched]
+        self.full = 0
+
+    def place(self, j: int) -> int | None:
+        """Add one copy of candidate j; None (and no change) if it does not fit.
+
+        Returns the subsets it filled, for remove().
+        """
+        if self.mask[j] & self.full:
+            return None
+        room = self.room
+        filled = 0
+        for i in self.touched[j]:
+            room[i] -= 1
+            if not room[i]:
+                filled |= 1 << i
+        self.full |= filled
+        return filled
+
+    def remove(self, j: int, filled: int) -> None:
+        """Undo the place(j) call that returned `filled`."""
+        room = self.room
+        for i in self.touched[j]:
+            room[i] += 1
+        self.full ^= filled
 
 
 def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> SearchResult:
@@ -124,68 +163,51 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     cardinality) cannot beat the best complete code found.
     """
     validate_params(p)
-    budget = budget or DEFAULT_BUDGET
     n, k, m, r = p.n, p.k, p.m, p.r
-
-    cands: list[tuple[int, tuple[int, ...], int]] = []  # (card, column, mask)
-    for card in range(r + 1, min(r + k, m) + 1):
-        for col in combinations(range(1, m + 1), card):
-            cands.append((card, col, sum(1 << (s - 1) for s in col)))
-    caps = _counter_capacities(m, k, r)
-    supersets = [
-        _tracked_supersets(mask, card, m, k, r) for card, _, mask in cands
+    cols = [
+        col
+        for card in range(r + 1, min(r + k, m) + 1)
+        for col in combinations(range(1, m + 1), card)
     ]
-    counts = {imask: 0 for imask in caps}
-
-    meter = _Meter(budget)
+    cards = [len(col) for col in cols]
+    # Symmetry: the first column is a prefix set, the first of its cardinality.
+    prefixes = [j for j, col in enumerate(cols) if col[-1] == len(col)]
+    state = _Placement(m, k, r, cols)
+    place, remove = state.place, state.remove
+    meter = Meter(budget or DEFAULT_BUDGET)
+    tick = meter.tick
     best_weight = math.inf
     best: list[int] | None = None
     chosen: list[int] = []
 
-    def descend(start: int, slots: int, acc: int) -> None:
+    def descend(options, slots: int, acc: int) -> None:
         nonlocal best_weight, best
         if slots == 0:
             if acc < best_weight:
                 best_weight = acc
                 best = chosen.copy()
             return
-        for idx in range(start, len(cands)):
-            card = cands[idx][0]
+        for j in options:
+            card = cards[j]
             if acc + card * slots >= best_weight:
                 break  # later candidates only get wider
-            if not chosen and cands[idx][1] != _prefix_tuple(card):
-                continue  # symmetry: first column is a prefix set
-            meter.tick()
-            ok = True
-            touched = supersets[idx]
-            for pos, imask in enumerate(touched):
-                if counts[imask] + 1 > caps[imask]:
-                    ok = False
-                    for undo in touched[:pos]:
-                        counts[undo] -= 1
-                    break
-                counts[imask] += 1
-            if not ok:
+            tick()
+            filled = place(j)
+            if filled is None:
                 continue
-            chosen.append(idx)
-            descend(idx, slots - 1, acc + card)
+            chosen.append(j)
+            descend(range(j, len(cols)), slots - 1, acc + card)
             chosen.pop()
-            for imask in touched:
-                counts[imask] -= 1
+            remove(j, filled)
 
-    exhausted = False
     try:
-        descend(0, n, 0)
-    except _BudgetExhausted:
-        exhausted = True
-
-    witness = (
-        BatchCode(m, [cands[idx][1] for idx in best]) if best is not None else None
-    )
-    if exhausted:
+        descend(prefixes, n, 0)
+    except BudgetExhausted:
+        witness = BatchCode(m, [cols[j] for j in best]) if best is not None else None
         # Sound floor: every column needs at least r+1 servers.
         return SearchResult((r + 1) * n, witness, False, "lower", meter.nodes)
     assert best is not None  # all-(r+k)-cardinality multisets are always codes
+    witness = BatchCode(m, [cols[j] for j in best])
     return SearchResult(int(best_weight), witness, True, "exact", meter.nodes)
 
 
@@ -203,10 +225,7 @@ def uniform_packing_max(
     containment counters as exact_min_weight, maximizing the column count.
     `limit` caps the count when the caller only needs that much.
     """
-    if not 0 <= r < m:
-        raise ParameterError(f"need 0 <= r < m, got r={r}, m={m}")
-    if k < 1 or k > m - r:
-        raise ParameterError(f"need 1 <= k <= m-r, got k={k}, m-r={m - r}")
+    _check_batch(k, m, r)
     if not r + 1 <= cardinality <= min(r + k - 1, m):
         # Cardinality-(r+k) columns satisfy every subset condition, so their
         # packings are unbounded; nothing to search there.
@@ -214,68 +233,47 @@ def uniform_packing_max(
             f"cardinality {cardinality} outside the constrained band "
             f"[{r + 1}, {min(r + k - 1, m)}]"
         )
-    budget = budget or DEFAULT_BUDGET
-
     cols = list(combinations(range(1, m + 1), cardinality))
-    masks = [sum(1 << (s - 1) for s in col) for col in cols]
-    caps = _counter_capacities(m, k, r)
-    supersets = [
-        _tracked_supersets(mask, cardinality, m, k, r) for mask in masks
-    ]
-    counts = {imask: 0 for imask in caps}
-
+    state = _Placement(m, k, r, cols)
+    place, remove = state.place, state.remove
     # Max copies of each column if placed alone; used for suffix pruning.
-    solo = [min(caps[imask] for imask in sup) for sup in supersets]
     suffix = [0] * (len(cols) + 1)
-    for idx in range(len(cols) - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] + solo[idx]
-
-    meter = _Meter(budget)
+    for j in range(len(cols) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + min(state.room[i] for i in state.touched[j])
+    meter = Meter(budget or DEFAULT_BUDGET)
+    tick = meter.tick
     best = -1
     best_cols: list[int] = []
     chosen: list[int] = []
     cap_count = limit if limit is not None else math.inf
 
-    def descend(start: int) -> None:
+    def descend(options) -> None:
         nonlocal best, best_cols
-        if len(chosen) > best:
-            best = len(chosen)
+        depth = len(chosen)
+        if depth > best:
+            best = depth
             best_cols = chosen.copy()
-        if len(chosen) >= cap_count:
+        if depth >= cap_count:
             return
-        for idx in range(start, len(cols)):
-            if len(chosen) + suffix[idx] <= best:
+        for j in options:
+            if depth + suffix[j] <= best:
                 return
-            if not chosen and cols[idx] != _prefix_tuple(cardinality):
-                continue  # symmetry: first column is a prefix set
-            meter.tick()
-            ok = True
-            touched = supersets[idx]
-            for pos, imask in enumerate(touched):
-                if counts[imask] + 1 > caps[imask]:
-                    ok = False
-                    for undo in touched[:pos]:
-                        counts[undo] -= 1
-                    break
-                counts[imask] += 1
-            if not ok:
+            tick()
+            filled = place(j)
+            if filled is None:
                 continue
-            chosen.append(idx)
-            descend(idx)
+            chosen.append(j)
+            descend(range(j, len(cols)))
             chosen.pop()
-            for imask in touched:
-                counts[imask] -= 1
+            remove(j, filled)
 
-    exhausted = False
+    exact = True
     try:
-        descend(0)
-    except _BudgetExhausted:
-        exhausted = True
-
-    witness = BatchCode(m, [cols[idx] for idx in best_cols])
-    if exhausted:
-        return SearchResult(best, witness, False, "lower", meter.nodes)
-    return SearchResult(best, witness, True, "exact", meter.nodes)
+        descend((0,))  # symmetry: the first column is the prefix set
+    except BudgetExhausted:
+        exact = False
+    witness = BatchCode(m, [cols[j] for j in best_cols])
+    return SearchResult(best, witness, exact, "exact" if exact else "lower", meter.nodes)
 
 
 def gap_base_max(
@@ -317,10 +315,7 @@ def trivial_weight_max(
     For k=1 the answer is unbounded (repeat any column), reported as value
     None; `limit` caps the search otherwise.
     """
-    if not 0 <= r < m:
-        raise ParameterError(f"need 0 <= r < m, got r={r}, m={m}")
-    if k < 1 or k > m - r:
-        raise ParameterError(f"need 1 <= k <= m-r, got k={k}, m-r={m - r}")
+    _check_batch(k, m, r)
     if k == 1:
         return SearchResult(None, None, True, "exact", 0)
     return uniform_packing_max(k, m, r, r + 1, limit=limit, budget=budget)

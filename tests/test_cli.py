@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import rcbc
 from rcbc import parse_graph, parse_matrix, verify, weight, girth, graph_from_code
 from rcbc import CodeParams
 from rcbc.cli import main
@@ -376,12 +379,21 @@ class TestUsage:
         assert code == 2
 
 
+def cli_env() -> dict[str, str]:
+    """The environment, with the tested rcbc first on the child's path."""
+    env = dict(os.environ)
+    src = str(Path(rcbc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "rcbc.cli", "construct", "--params", "4,3,6,3"],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0
         assert "# regime: circulant" in proc.stdout
@@ -393,6 +405,7 @@ class TestEntryPoint:
              "--out", str(path)],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert build.returncode == 0
         check = subprocess.run(
@@ -400,6 +413,7 @@ class TestEntryPoint:
              "--strategy", "all", str(path)],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert check.returncode == 0
         assert check.stdout == "ok (all strategies agree)\n"
@@ -408,6 +422,7 @@ class TestEntryPoint:
              "--demand", "1,8", "--down", "2", str(path)],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert fetch.returncode == 0
         assert "->" in fetch.stdout

@@ -390,3 +390,49 @@ class TestConstructOptimal:
             construct_optimal(p, budget=tiny)
         assert info.value.budget_limited
         assert "within the search budget" in str(info.value)
+
+
+    def test_capped_base_search_is_cached_per_budget(self, monkeypatch):
+        # (4, 8, 1) gap window: 42 <= n < 210.  A 5,000-node base search is
+        # cut short, and its lower bound certifies neither n below.
+        from rcbc import constructions, search
+
+        calls = []
+        real = search.gap_base_max
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "gap_base_max", counting)
+        monkeypatch.setattr(constructions, "_base_cache", {})
+        capped = SearchBudget(node_limit=5_000)
+        for n in (42, 43):
+            with pytest.raises(NoKnownConstruction) as info:
+                construct_optimal(CodeParams(n, 4, 8, 1), budget=capped)
+            assert info.value.budget_limited
+        assert predicted_weight(CodeParams(44, 4, 8, 1), budget=capped).budget_limited
+        assert len(calls) == 1
+        with pytest.raises(NoKnownConstruction) as info:
+            construct_optimal(CodeParams(42, 4, 8, 1), budget=SearchBudget(node_limit=6_000))
+        assert info.value.budget_limited
+        assert len(calls) == 2
+
+    def test_exact_base_is_reused_under_any_budget(self, monkeypatch):
+        from rcbc import constructions, search
+
+        calls = []
+        real = search.gap_base_max
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "gap_base_max", counting)
+        monkeypatch.setattr(constructions, "_base_cache", {})
+        p = CodeParams(30, 3, 6, 1)
+        code, pred = construct_optimal(p)
+        assert pred.regime == "gap" and not pred.budget_limited
+        again, _ = construct_optimal(p, budget=SearchBudget(node_limit=1_000))
+        assert again == code
+        assert len(calls) == 1

@@ -164,6 +164,14 @@ class TestMaxEdges:
             )
             assert max_edges_with_girth(4, girth_min).value == expected
 
+    def test_pinned_node_count(self):
+        # Taken from the list-adjacency search the bitmask BFS replaced.
+        result = max_edges_with_girth(7, 5)
+        assert (result.value, result.exact, result.nodes) == (8, True, 48_813)
+        assert result.witness.columns == (
+            (1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 6), (5, 7),
+        )
+
     def test_budget_exhaustion_reports_lower_bound(self):
         result = max_edges_with_girth(9, 5, SearchBudget(node_limit=20))
         assert not result.exact

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -177,6 +178,45 @@ class TestGapBaseMax:
             gap_base_max(2, 5, 1)
         with pytest.raises(ValueError):
             gap_base_max(3, 3, 1)
+
+
+class TestPinnedSearches:
+    """Exact (value, exact, nodes) of fixed instances, taken from the
+    dict-counter kernel the placement state replaced.  Node counts include
+    runs cut short by the budget, so any change to the order, the pruning or
+    the node counting shows here."""
+
+    @pytest.mark.parametrize(
+        "args, node_limit, expected",
+        [
+            ((3, 8, 1), None, (16, True, 89_288)),
+            ((4, 10, 2), 300_000, (73, False, 300_000)),
+            ((4, 8, 1), 100_000, (29, False, 100_000)),
+        ],
+    )
+    def test_gap_base_max(self, args, node_limit, expected):
+        budget = SearchBudget(node_limit=node_limit) if node_limit else None
+        result = gap_base_max(*args, budget=budget)
+        assert (result.value, result.exact, result.nodes) == expected
+        assert result.bound == ("exact" if result.exact else "lower")
+        assert result.witness.n == result.value
+
+    def test_gap_base_max_witness(self):
+        # Mantel: the balanced complete bipartite graph K_{4,4}, found in
+        # the search order (the first column is the prefix {1, 2}).
+        result = gap_base_max(3, 8, 1)
+        assert result.witness.columns == (
+            (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8), (3, 6),
+            (3, 7), (3, 8), (4, 6), (4, 7), (4, 8), (5, 6), (5, 7), (5, 8),
+        )
+
+    def test_exact_min_weight(self):
+        result = exact_min_weight(CodeParams(20, 3, 5, 1))
+        assert (result.value, result.exact, result.nodes) == (60, True, 175_041)
+        # Two copies of every 3-subset of the 5 servers.
+        assert result.witness.columns == tuple(
+            col for col in itertools.combinations(range(1, 6), 3) for _ in range(2)
+        )
 
 
 class TestTrivialWeightMax:
