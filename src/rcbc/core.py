@@ -72,13 +72,7 @@ class CodeParams:
 
 def validate_params(p: CodeParams) -> None:
     """Raise ParameterError naming the violated inequality, if any."""
-    if p.r >= p.m:
-        raise ParameterError(f"r={p.r} must be smaller than m={p.m}")
-    if p.k > p.m - p.r:
-        raise ParameterError(
-            f"k={p.k} exceeds m-r={p.m - p.r}; a batch cannot outnumber the "
-            "guaranteed available servers"
-        )
+    _check_serviceability(p)
     if p.k > p.n:
         raise ParameterError(f"k={p.k} exceeds n={p.n}; a batch repeats no file")
 
@@ -225,12 +219,15 @@ def _check_dimensions(code: BatchCode, p: CodeParams) -> None:
 
 
 def _check_serviceability(p: CodeParams) -> None:
-    # Only the server-side existence conditions: a code with fewer than k
-    # columns is still judged by the same subset conditions below.
+    # The server-side existence conditions only: verify and retrieval also
+    # judge codes with fewer than k columns, so k <= n is not checked here.
     if p.r >= p.m:
         raise ParameterError(f"r={p.r} must be smaller than m={p.m}")
     if p.k > p.m - p.r:
-        raise ParameterError(f"k={p.k} exceeds m-r={p.m - p.r}")
+        raise ParameterError(
+            f"k={p.k} exceeds m-r={p.m - p.r}; a batch cannot outnumber the "
+            "guaranteed available servers"
+        )
 
 
 def _masks(code: BatchCode) -> list[int]:

@@ -120,30 +120,6 @@ def graph_from_code(code: BatchCode) -> SimpleGraph:
     return SimpleGraph(code.m, code.columns)
 
 
-def _distance_at_least(adj: list[int], u: int, v: int, d: int) -> bool:
-    """Whether u and v are at distance >= d; adj[x] is x's neighbour bitmask.
-
-    Frontier BFS from u over bitmasks, stopping after d - 1 steps.
-    """
-    if u == v:
-        return d <= 0
-    target = 1 << v
-    seen = frontier = 1 << u
-    for _ in range(d - 1):
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
-            frontier ^= low
-        if reach & target:
-            return False
-        frontier = reach & ~seen
-        if not frontier:
-            break
-        seen |= frontier
-    return True
-
-
 def max_edges_with_girth(
     m: int, girth_min: int, budget: SearchBudget | None = None
 ) -> SearchResult:
@@ -151,7 +127,9 @@ def max_edges_with_girth(
 
     Include/exclude search over edges in lexicographic order: an edge may be
     added only when its endpoints are at distance >= girth_min - 1, so every
-    cycle ever closed has length >= girth_min.  The witness is returned as a
+    cycle ever closed has length >= girth_min.  A node is one edge
+    considered, whether it can be added or not; a branch stops once the
+    edges left cannot beat the best graph.  The witness is returned as a
     code (columns are the edges of a maximum graph).
     """
     if m < 1:
@@ -160,32 +138,47 @@ def max_edges_with_girth(
         raise ValueError(f"girth bound must be at least 3, got {girth_min}")
     budget = budget or DEFAULT_BUDGET
     all_edges = list(combinations(range(1, m + 1), 2))
+    steps = range(girth_min - 2)
     meter = Meter(budget)
+    tick = meter.tick
     adj = [0] * (m + 1)  # neighbour bitmask of each vertex
     chosen: list[tuple[int, int]] = []
     best = -1
     best_edges: list[tuple[int, int]] = []
 
     def descend(idx: int) -> None:
+        """Search edges idx, idx+1, ...: including recurses, excluding loops."""
         nonlocal best, best_edges
-        if len(chosen) > best:
-            best = len(chosen)
+        depth = len(chosen)
+        if depth > best:
+            best = depth
             best_edges = chosen.copy()
-        if len(chosen) + (len(all_edges) - idx) <= best:
-            return
-        if idx == len(all_edges):
-            return
-        u, v = all_edges[idx]
-        meter.tick()
-        if _distance_at_least(adj, u, v, girth_min - 1):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            chosen.append((u, v))
-            descend(idx + 1)
-            chosen.pop()
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-        descend(idx + 1)
+        while idx < len(all_edges) + depth - best:
+            u, v = all_edges[idx]
+            tick()
+            # Frontier BFS from u over bitmasks: v must not be reached
+            # within girth_min - 2 steps.
+            target = 1 << v
+            seen = frontier = 1 << u
+            for _ in steps:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                if reach & target:
+                    break  # u-v would close a cycle shorter than girth_min
+                frontier = reach & ~seen
+                seen |= frontier
+            else:
+                adj[u] |= target
+                adj[v] |= 1 << u
+                chosen.append((u, v))
+                descend(idx + 1)
+                chosen.pop()
+                adj[u] ^= target
+                adj[v] ^= 1 << u
+            idx += 1
 
     exhausted = False
     try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .core import BatchCode, CodeParams, ParameterError, _check_dimensions
+from .core import BatchCode, CodeParams, _check_dimensions, _check_serviceability
 
 __all__ = [
     "InfeasibleDemand",
@@ -115,10 +115,7 @@ def plan_retrieval(
     indices, files assigned in ascending order.
     """
     _check_dimensions(code, p)
-    if p.r >= p.m:
-        raise ParameterError(f"r={p.r} must be smaller than m={p.m}")
-    if p.k > p.m - p.r:
-        raise ParameterError(f"k={p.k} exceeds m-r={p.m - p.r}")
+    _check_serviceability(p)
     dem = tuple(sorted(set(demand)))
     avail = tuple(sorted(set(available)))
     if not dem:
@@ -149,10 +146,7 @@ def exhaustive_service_check(code: BatchCode, p: CodeParams) -> ServiceFailure |
     decide the property.
     """
     _check_dimensions(code, p)
-    if p.r >= p.m:
-        raise ParameterError(f"r={p.r} must be smaller than m={p.m}")
-    if p.k > p.m - p.r:
-        raise ParameterError(f"k={p.k} exceeds m-r={p.m - p.r}")
+    _check_serviceability(p)
     if p.n == 0:
         return None
     colsets = [set(col) for col in code.columns]

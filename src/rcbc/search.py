@@ -7,6 +7,13 @@ each server subset I with r+1 <= |I| <= r+k-1, at most |I| - r columns may
 sit inside I.  A completed multiset passing every counter is exactly a code,
 and columns of cardinality r+k touch no counter at all.
 
+The depth-first searches carry a bitmask of the candidates that no longer
+fit (some subset they touch is full) and jump straight to the next one that
+does.  Pruning is a precomputed candidate index past which no extension can
+beat the best found.  A node is one candidate considered, whether it fits or
+not: the unfit candidates jumped over are counted in bulk, and the budget
+stops a search at the same node as if each had been counted on its own.
+
 Row relabeling symmetry is broken at the first column only: the least column
 of an optimal multiset can always be relabeled to a prefix {1, ..., c}.
 """
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Literal
@@ -71,28 +79,43 @@ class SearchResult:
 
 
 class BudgetExhausted(Exception):
-    """Raised by Meter.tick once the search budget is spent."""
+    """Raised by Meter once the search budget is spent."""
 
 
 class Meter:
     """Counts search nodes and enforces the budget.
 
-    tick() raises BudgetExhausted when the count reaches the node limit, or,
-    checked every 4096 nodes, once the time limit has passed.
+    A node is one candidate considered, whether it fits or not.  Checkpoints
+    fall at every multiple of 4096 nodes and at the node limit; at each one
+    BudgetExhausted is raised if the node limit is reached or the time limit
+    has passed.  tick() counts one node.  add(count) counts `count` nodes at
+    once and stops at exactly the node where `count` ticks would.  It
+    returns the next checkpoint, so a search can keep its own running count
+    and call add() only when that count reaches it.
     """
 
     def __init__(self, budget: SearchBudget) -> None:
         self.nodes = 0
         self.limit = budget.node_limit
         self.deadline = time.monotonic() + budget.time_limit
-        self._check_at = min(self.limit, 4096)
+        self.check_at = min(self.limit, 4096)
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.nodes >= self._check_at:
+        if self.nodes >= self.check_at:
             if self.nodes >= self.limit or time.monotonic() > self.deadline:
                 raise BudgetExhausted
-            self._check_at = min(self.limit, self.nodes + 4096)
+            self.check_at = min(self.limit, self.nodes + 4096)
+
+    def add(self, count: int) -> int:
+        nodes = self.nodes + count
+        while nodes >= self.check_at:
+            self.nodes = self.check_at
+            if self.nodes >= self.limit or time.monotonic() > self.deadline:
+                raise BudgetExhausted
+            self.check_at = min(self.limit, self.nodes + 4096)
+        self.nodes = nodes
+        return self.check_at
 
 
 def _check_batch(k: int, m: int, r: int) -> None:
@@ -105,10 +128,11 @@ def _check_batch(k: int, m: int, r: int) -> None:
 class _Placement:
     """Room left in every tracked server subset, for candidate columns.
 
-    Tracked subset I (r+1 <= |I| <= r+k-1) starts with room |I| - r, and
-    `full` has bit i set when subset i has no room left.  Candidate j
-    touches the subsets in touched[j] (those containing it), whose bits
-    make up mask[j]; it fits exactly when mask[j] misses `full`.
+    Tracked subset I (r+1 <= |I| <= r+k-1) starts with room |I| - r.
+    Candidate j touches the subsets in touched[j] (those containing it), and
+    blocks[i] has bit j set when candidate j touches subset i.  A search
+    threads an immutable `blocked` bitmask of the candidates that no longer
+    fit: bit j is set once some subset that j touches is full.
     """
 
     def __init__(self, m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> None:
@@ -119,39 +143,36 @@ class _Placement:
                 index[sum(1 << b for b in rows)] = len(self.room)
                 self.room.append(d - r)
         self.touched: list[tuple[int, ...]] = []
-        for col in columns:
+        self.blocks = [0] * len(self.room)
+        for j, col in enumerate(columns):
             bits = sum(1 << (s - 1) for s in col)
             rest = [1 << b for b in range(m) if not bits >> b & 1]
-            self.touched.append(tuple(
+            touched = tuple(
                 index[bits | sum(add)]
                 for extra in range(r + k - len(col))
                 for add in combinations(rest, extra)
-            ))
-        self.mask = [sum(1 << i for i in t) for t in self.touched]
-        self.full = 0
+            )
+            self.touched.append(touched)
+            for i in touched:
+                self.blocks[i] |= 1 << j
 
-    def place(self, j: int) -> int | None:
-        """Add one copy of candidate j; None (and no change) if it does not fit.
+    def place(self, j: int, blocked: int) -> int:
+        """Add one copy of candidate j, which must fit under `blocked`.
 
-        Returns the subsets it filled, for remove().
+        Returns `blocked` with the candidates that j has shut out added.
         """
-        if self.mask[j] & self.full:
-            return None
-        room = self.room
-        filled = 0
+        room, blocks = self.room, self.blocks
         for i in self.touched[j]:
             room[i] -= 1
             if not room[i]:
-                filled |= 1 << i
-        self.full |= filled
-        return filled
+                blocked |= blocks[i]
+        return blocked
 
-    def remove(self, j: int, filled: int) -> None:
-        """Undo the place(j) call that returned `filled`."""
+    def remove(self, j: int) -> None:
+        """Undo place(j, ...)."""
         room = self.room
         for i in self.touched[j]:
             room[i] += 1
-        self.full ^= filled
 
 
 def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> SearchResult:
@@ -170,45 +191,67 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
         for col in combinations(range(1, m + 1), card)
     ]
     cards = [len(col) for col in cols]
+    # Above the weight of every candidate multiset, so nothing is pruned
+    # until a code is found.
+    best_weight = cards[-1] * n + 1
+    # Cardinalities are nondecreasing: first_wider[c] is the index of the
+    # first candidate of cardinality >= c, where pruning starts.
+    first_wider = [bisect_left(cards, c) for c in range(best_weight + 1)]
     # Symmetry: the first column is a prefix set, the first of its cardinality.
     prefixes = [j for j, col in enumerate(cols) if col[-1] == len(col)]
     state = _Placement(m, k, r, cols)
     place, remove = state.place, state.remove
     meter = Meter(budget or DEFAULT_BUDGET)
-    tick = meter.tick
-    best_weight = math.inf
+    nodes = 0
+    check_at = meter.check_at
     best: list[int] | None = None
     chosen: list[int] = []
 
-    def descend(options, slots: int, acc: int) -> None:
-        nonlocal best_weight, best
+    def descend(j: int, blocked: int, slots: int, acc: int) -> None:
+        """Fill `slots` more slots from candidates j, j+1, ... not blocked."""
+        nonlocal best_weight, best, nodes, check_at
         if slots == 0:
             if acc < best_weight:
                 best_weight = acc
                 best = chosen.copy()
             return
-        for j in options:
-            card = cards[j]
-            if acc + card * slots >= best_weight:
-                break  # later candidates only get wider
-            tick()
-            filled = place(j)
-            if filled is None:
-                continue
-            chosen.append(j)
-            descend(range(j, len(cols)), slots - 1, acc + card)
+        while True:
+            # Columns of cardinality >= ceil((best_weight - acc) / slots)
+            # cannot beat the best code.
+            stop = first_wider[(best_weight - acc + slots - 1) // slots]
+            if j >= stop:
+                return
+            x = blocked >> j
+            fit = j + (x ^ (x + 1)).bit_length() - 1  # next candidate that fits
+            nodes += (fit + 1 if fit < stop else stop) - j
+            if nodes >= check_at:
+                check_at = meter.add(nodes - meter.nodes)
+            if fit >= stop:
+                return
+            chosen.append(fit)
+            descend(fit, place(fit, blocked), slots - 1, acc + cards[fit])
             chosen.pop()
-            remove(j, filled)
+            remove(fit)
+            j = fit + 1
 
     try:
-        descend(prefixes, n, 0)
+        for j in prefixes:
+            if cards[j] * n >= best_weight:
+                break  # later prefixes only get wider
+            nodes += 1
+            if nodes >= check_at:
+                check_at = meter.add(nodes - meter.nodes)
+            chosen.append(j)
+            descend(j, place(j, 0), n - 1, cards[j])
+            chosen.pop()
+            remove(j)
     except BudgetExhausted:
         witness = BatchCode(m, [cols[j] for j in best]) if best is not None else None
         # Sound floor: every column needs at least r+1 servers.
         return SearchResult((r + 1) * n, witness, False, "lower", meter.nodes)
     assert best is not None  # all-(r+k)-cardinality multisets are always codes
     witness = BatchCode(m, [cols[j] for j in best])
-    return SearchResult(int(best_weight), witness, True, "exact", meter.nodes)
+    return SearchResult(best_weight, witness, True, "exact", nodes)
 
 
 def uniform_packing_max(
@@ -240,40 +283,58 @@ def uniform_packing_max(
     suffix = [0] * (len(cols) + 1)
     for j in range(len(cols) - 1, -1, -1):
         suffix[j] = suffix[j + 1] + min(state.room[i] for i in state.touched[j])
+    # suffix is nonincreasing: first_at_most[v] is the first j with
+    # suffix[j] <= v, where pruning starts while the best leads by v.
+    descending = [-s for s in suffix]
+    first_at_most = [bisect_left(descending, -v) for v in range(suffix[0] + 1)]
     meter = Meter(budget or DEFAULT_BUDGET)
-    tick = meter.tick
-    best = -1
+    nodes = 0
+    check_at = meter.check_at
+    best = 0
     best_cols: list[int] = []
     chosen: list[int] = []
     cap_count = limit if limit is not None else math.inf
 
-    def descend(options) -> None:
-        nonlocal best, best_cols
+    def descend(j: int, blocked: int) -> None:
+        """Extend `chosen` by candidates j, j+1, ... not blocked."""
+        nonlocal best, best_cols, nodes, check_at
         depth = len(chosen)
         if depth > best:
             best = depth
             best_cols = chosen.copy()
         if depth >= cap_count:
             return
-        for j in options:
-            if depth + suffix[j] <= best:
+        while True:
+            stop = first_at_most[best - depth]
+            if j >= stop:
                 return
-            tick()
-            filled = place(j)
-            if filled is None:
-                continue
-            chosen.append(j)
-            descend(range(j, len(cols)))
+            x = blocked >> j
+            fit = j + (x ^ (x + 1)).bit_length() - 1  # next candidate that fits
+            nodes += (fit + 1 if fit < stop else stop) - j
+            if nodes >= check_at:
+                check_at = meter.add(nodes - meter.nodes)
+            if fit >= stop:
+                return
+            chosen.append(fit)
+            descend(fit, place(fit, blocked))
             chosen.pop()
-            remove(j, filled)
+            remove(fit)
+            j = fit + 1
 
     exact = True
     try:
-        descend((0,))  # symmetry: the first column is the prefix set
+        if cap_count > 0:
+            # Symmetry: the first column is the prefix set, the only
+            # candidate tried at the root.
+            nodes = 1
+            check_at = meter.add(1)
+            chosen.append(0)
+            descend(0, place(0, 0))
     except BudgetExhausted:
         exact = False
+        nodes = meter.nodes
     witness = BatchCode(m, [cols[j] for j in best_cols])
-    return SearchResult(best, witness, exact, "exact" if exact else "lower", meter.nodes)
+    return SearchResult(best, witness, exact, "exact" if exact else "lower", nodes)
 
 
 def gap_base_max(

@@ -5,8 +5,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
-from rcbc import BatchCode, CodeParams, SimpleGraph, parse_matrix, verify
+from rcbc import (
+    BatchCode,
+    CodeParams,
+    SearchBudget,
+    SearchResult,
+    SimpleGraph,
+    parse_matrix,
+    verify,
+)
 
 # Reference placements, transcribed as matrix text so the parser is on the
 # critical path of every test that uses them.
@@ -186,3 +195,210 @@ def brute_max_extension(code: BatchCode, p: CodeParams) -> int:
         return best
 
     return grow(list(code.columns), 0)
+
+
+# ---------------------------------------------------------------------------
+# Reference searches: the per-candidate loops the blocked-candidate skip
+# replaced.  Every candidate tried costs one tick(), fit or not, and a
+# candidate is placed and removed through room counters.  Kept only to
+# compare results, witnesses and node counts against the library.
+
+
+class _RefExhausted(Exception):
+    pass
+
+
+class _RefMeter:
+    """One tick() per node; stops at the node limit, and at every 4096th
+    node once the time limit has passed."""
+
+    def __init__(self, budget: SearchBudget) -> None:
+        self.nodes = 0
+        self.limit = budget.node_limit
+        self.deadline = time.monotonic() + budget.time_limit
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes >= self.limit:
+            raise _RefExhausted
+        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+            raise _RefExhausted
+
+
+class _RefPlacement:
+    """Room per tracked subset, and a bitmask of the full subsets."""
+
+    def __init__(self, m: int, k: int, r: int, columns) -> None:
+        index: dict[int, int] = {}
+        self.room: list[int] = []
+        for d in range(r + 1, min(r + k - 1, m) + 1):
+            for rows in itertools.combinations(range(m), d):
+                index[sum(1 << b for b in rows)] = len(self.room)
+                self.room.append(d - r)
+        self.touched: list[tuple[int, ...]] = []
+        for col in columns:
+            bits = sum(1 << (s - 1) for s in col)
+            rest = [1 << b for b in range(m) if not bits >> b & 1]
+            self.touched.append(tuple(
+                index[bits | sum(add)]
+                for extra in range(r + k - len(col))
+                for add in itertools.combinations(rest, extra)
+            ))
+        self.mask = [sum(1 << i for i in t) for t in self.touched]
+        self.full = 0
+
+    def place(self, j: int) -> int | None:
+        if self.mask[j] & self.full:
+            return None
+        filled = 0
+        for i in self.touched[j]:
+            self.room[i] -= 1
+            if not self.room[i]:
+                filled |= 1 << i
+        self.full |= filled
+        return filled
+
+    def remove(self, j: int, filled: int) -> None:
+        for i in self.touched[j]:
+            self.room[i] += 1
+        self.full ^= filled
+
+
+def reference_exact_min_weight(p: CodeParams, budget: SearchBudget) -> SearchResult:
+    n, k, m, r = p.n, p.k, p.m, p.r
+    cols = [
+        col
+        for card in range(r + 1, min(r + k, m) + 1)
+        for col in itertools.combinations(range(1, m + 1), card)
+    ]
+    prefixes = [j for j, col in enumerate(cols) if col[-1] == len(col)]
+    state = _RefPlacement(m, k, r, cols)
+    meter = _RefMeter(budget)
+    best_weight = math.inf
+    best = None
+    chosen: list[int] = []
+
+    def descend(options, slots: int, acc: int) -> None:
+        nonlocal best_weight, best
+        if slots == 0:
+            if acc < best_weight:
+                best_weight = acc
+                best = chosen.copy()
+            return
+        for j in options:
+            card = len(cols[j])
+            if acc + card * slots >= best_weight:
+                break
+            meter.tick()
+            filled = state.place(j)
+            if filled is None:
+                continue
+            chosen.append(j)
+            descend(range(j, len(cols)), slots - 1, acc + card)
+            chosen.pop()
+            state.remove(j, filled)
+
+    try:
+        descend(prefixes, n, 0)
+    except _RefExhausted:
+        witness = BatchCode(m, [cols[j] for j in best]) if best is not None else None
+        return SearchResult((r + 1) * n, witness, False, "lower", meter.nodes)
+    witness = BatchCode(m, [cols[j] for j in best])
+    return SearchResult(int(best_weight), witness, True, "exact", meter.nodes)
+
+
+def reference_uniform_packing_max(
+    k: int, m: int, r: int, cardinality: int, limit, budget: SearchBudget
+) -> SearchResult:
+    cols = list(itertools.combinations(range(1, m + 1), cardinality))
+    state = _RefPlacement(m, k, r, cols)
+    suffix = [0] * (len(cols) + 1)
+    for j in range(len(cols) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + min(state.room[i] for i in state.touched[j])
+    meter = _RefMeter(budget)
+    best = -1
+    best_cols: list[int] = []
+    chosen: list[int] = []
+    cap_count = limit if limit is not None else math.inf
+
+    def descend(options) -> None:
+        nonlocal best, best_cols
+        depth = len(chosen)
+        if depth > best:
+            best = depth
+            best_cols = chosen.copy()
+        if depth >= cap_count:
+            return
+        for j in options:
+            if depth + suffix[j] <= best:
+                return
+            meter.tick()
+            filled = state.place(j)
+            if filled is None:
+                continue
+            chosen.append(j)
+            descend(range(j, len(cols)))
+            chosen.pop()
+            state.remove(j, filled)
+
+    exact = True
+    try:
+        descend((0,))
+    except _RefExhausted:
+        exact = False
+    witness = BatchCode(m, [cols[j] for j in best_cols])
+    return SearchResult(best, witness, exact, "exact" if exact else "lower", meter.nodes)
+
+
+def reference_max_edges_with_girth(
+    m: int, girth_min: int, budget: SearchBudget
+) -> SearchResult:
+    """Include and exclude as two recursive calls; distances by a BFS over
+    adjacency lists, independent of the library's bitmask frontier."""
+    all_edges = list(itertools.combinations(range(1, m + 1), 2))
+    meter = _RefMeter(budget)
+    adj: list[set[int]] = [set() for _ in range(m + 1)]
+    chosen: list[tuple[int, int]] = []
+    best = -1
+    best_edges: list[tuple[int, int]] = []
+
+    def far_enough(u: int, v: int) -> bool:
+        dist = {u: 0}
+        queue = [u]
+        for x in queue:
+            if dist[x] == girth_min - 2:
+                continue
+            for y in adj[x]:
+                if y not in dist:
+                    if y == v:
+                        return False
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        return True
+
+    def descend(idx: int) -> None:
+        nonlocal best, best_edges
+        if len(chosen) > best:
+            best = len(chosen)
+            best_edges = chosen.copy()
+        if len(chosen) + (len(all_edges) - idx) <= best or idx == len(all_edges):
+            return
+        u, v = all_edges[idx]
+        meter.tick()
+        if far_enough(u, v):
+            adj[u].add(v)
+            adj[v].add(u)
+            chosen.append((u, v))
+            descend(idx + 1)
+            chosen.pop()
+            adj[u].remove(v)
+            adj[v].remove(u)
+        descend(idx + 1)
+
+    exact = True
+    try:
+        descend(0)
+    except _RefExhausted:
+        exact = False
+    witness = BatchCode(m, best_edges)
+    return SearchResult(best, witness, exact, "exact" if exact else "lower", meter.nodes)

@@ -25,7 +25,7 @@ from rcbc import (
     verify,
     weight,
 )
-from helpers import brute_girth
+from helpers import brute_girth, reference_max_edges_with_girth
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -171,6 +171,20 @@ class TestMaxEdges:
         assert result.witness.columns == (
             (1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 6), (5, 7),
         )
+
+    @pytest.mark.parametrize("node_limit", [1, 37, 20_000])
+    def test_matches_reference_loop(self, node_limit):
+        # Value, witness and node count equal those of the two-call
+        # include/exclude search in helpers, capped or not.
+        budget = SearchBudget(node_limit=node_limit)
+        for m in range(1, 9):
+            for girth_min in range(3, 8):
+                got = max_edges_with_girth(m, girth_min, budget)
+                want = reference_max_edges_with_girth(m, girth_min, budget)
+                assert (got.value, got.exact, got.bound, got.nodes) == (
+                    want.value, want.exact, want.bound, want.nodes
+                ), (m, girth_min)
+                assert got.witness.columns == want.witness.columns
 
     def test_budget_exhaustion_reports_lower_bound(self):
         result = max_edges_with_girth(9, 5, SearchBudget(node_limit=20))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,20 @@ from rcbc import (
     verify,
     weight,
 )
-from helpers import brute_min_weight, valid_kr_pairs
+from rcbc.search import BudgetExhausted, Meter
+from helpers import (
+    brute_min_weight,
+    reference_exact_min_weight,
+    reference_uniform_packing_max,
+    valid_kr_pairs,
+)
+
+NODE_CAPS = (1, 37, 20_000)
+
+
+def outcome(result):
+    columns = result.witness.columns if result.witness is not None else None
+    return (result.value, result.exact, result.bound, result.nodes, columns)
 
 
 class TestBudget:
@@ -34,6 +48,78 @@ class TestBudget:
         assert SearchResult(None, None, True).unbounded
         assert not SearchResult(3, None, True).unbounded
         assert not SearchResult(None, None, False, "lower").unbounded
+
+
+class TestMeter:
+    """add(count) must stop where `count` calls to tick() stop."""
+
+    @staticmethod
+    def stop_point(limit, start, count, expired, bulk):
+        """(nodes, None) if the meter raised at `nodes`, else (None, (nodes,
+        next checkpoint))."""
+        meter = Meter(SearchBudget(node_limit=limit))
+        meter.add(start)
+        if expired:
+            meter.deadline = time.monotonic() - 1.0
+        try:
+            if bulk:
+                meter.add(count)
+            else:
+                for _ in range(count):
+                    meter.tick()
+        except BudgetExhausted:
+            return meter.nodes, None
+        return None, (meter.nodes, meter.check_at)
+
+    @pytest.mark.parametrize("expired", [False, True])
+    @pytest.mark.parametrize(
+        "limit, start, count",
+        [
+            (10_000, 0, 9_000),  # crosses 4096 and 8192
+            (10_000, 100, 12_000),  # crosses 4096 and 8192, ends at the limit
+            (20_000, 4_000, 200),  # crosses 4096
+            (20_000, 4_095, 1),  # lands on 4096
+            (20_000, 4_096, 4_096),  # lands on 8192
+            (20_000, 4_097, 4_000),  # crosses none
+            (5_000, 4_000, 3_000),  # crosses 4096, then the limit
+            (4_096, 0, 5_000),  # the limit is the first checkpoint
+        ],
+    )
+    def test_add_matches_ticks(self, limit, start, count, expired):
+        ticks = self.stop_point(limit, start, count, expired, bulk=False)
+        bulk = self.stop_point(limit, start, count, expired, bulk=True)
+        assert bulk == ticks
+        if expired and start + count >= 4_096 * (start // 4_096 + 1):
+            assert ticks[0] is not None  # the time check did run
+
+
+class TestAgainstReferenceLoop:
+    """Results, witnesses and node counts equal those of the per-candidate
+    loop in helpers, including runs cut short by the node limit."""
+
+    @pytest.mark.parametrize("node_limit", NODE_CAPS)
+    def test_uniform_packing_max(self, node_limit):
+        budget = SearchBudget(node_limit=node_limit)
+        for m in range(1, 7):
+            for r in range(m):
+                for k in range(1, m - r + 1):
+                    for card in range(r + 1, min(r + k - 1, m) + 1):
+                        for limit in (None, 3):
+                            args = (k, m, r, card, limit)
+                            got = uniform_packing_max(*args, budget=budget)
+                            want = reference_uniform_packing_max(*args, budget)
+                            assert outcome(got) == outcome(want), args
+
+    @pytest.mark.parametrize("node_limit", NODE_CAPS)
+    def test_exact_min_weight(self, node_limit):
+        budget = SearchBudget(node_limit=node_limit)
+        for m in range(1, 7):
+            for n in range(1, 9):
+                for k, r in valid_kr_pairs(m, n):
+                    p = CodeParams(n, k, m, r)
+                    got = exact_min_weight(p, budget)
+                    want = reference_exact_min_weight(p, budget)
+                    assert outcome(got) == outcome(want), p
 
 
 class TestExactMinWeight:
@@ -209,6 +295,39 @@ class TestPinnedSearches:
             (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8), (3, 6),
             (3, 7), (3, 8), (4, 6), (4, 7), (4, 8), (5, 6), (5, 7), (5, 8),
         )
+
+    # Stop points at and around the first time checkpoint (4096 nodes),
+    # taken from the per-candidate loop before runs were counted in bulk.
+    @pytest.mark.parametrize("node_limit", [4_095, 4_096, 4_097])
+    def test_gap_base_max_stop_points(self, node_limit):
+        result = gap_base_max(4, 8, 1, SearchBudget(node_limit=node_limit))
+        assert (result.value, result.exact, result.nodes) == (25, False, node_limit)
+        assert result.witness.columns == (
+            (1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 2, 7),
+            (1, 2, 8), (1, 4, 5), (1, 4, 6), (1, 4, 7), (1, 4, 8), (1, 5, 6),
+            (1, 5, 7), (1, 5, 8), (1, 6, 7), (1, 6, 8), (1, 7, 8), (3, 4, 5),
+            (3, 4, 5), (3, 4, 6), (3, 4, 7), (3, 4, 8), (3, 6, 7), (3, 6, 8),
+            (3, 7, 8),
+        )
+
+    @pytest.mark.parametrize(
+        "node_limit, columns",
+        [
+            (50, (
+                (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3, 4), (2, 3, 4),
+                (2, 3, 5), (2, 3, 5), (2, 3, 6),
+            )),
+            (5_000, (
+                (1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5),
+                (4, 6), (1, 5, 6),
+            )),
+        ],
+    )
+    def test_exact_min_weight_stop_points(self, node_limit, columns):
+        result = exact_min_weight(CodeParams(10, 3, 6, 1), SearchBudget(node_limit=node_limit))
+        # A cut-short search reports the floor (r+1)n as a lower bound.
+        assert (result.value, result.exact, result.nodes) == (20, False, node_limit)
+        assert result.witness.columns == columns
 
     def test_exact_min_weight(self):
         result = exact_min_weight(CodeParams(20, 3, 5, 1))
