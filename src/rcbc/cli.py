@@ -253,8 +253,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_girth_search(args: argparse.Namespace) -> int:
-    if args.m is None or args.girth is None:
-        raise ValueError("girth-search needs --m and --girth")
     result = max_edges_with_girth(args.m, args.girth, _budget(args))
     graph = graph_from_code(result.witness)
     text = (

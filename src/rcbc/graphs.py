@@ -4,7 +4,9 @@ View a code whose columns all have cardinality 2 as a graph on the servers:
 columns are edges.  For 2 <= k < m <= n, the code serves batches of k under
 one server outage exactly when the graph is simple with girth at least k+1.
 That turns the search for the largest such code into an extremal graph
-question, answered here by exhaustive edge search.
+question, answered here by exhaustive edge search.  The search fixes
+vertex 1 as a vertex of maximum degree d with neighbours 2, ..., d+1, which
+every graph satisfies after relabelling, and caps every other degree at d.
 
 Graph text format: an "m e" header (vertices, edges), then e lines "u v".
 Blank lines and '#' comments are ignored, as in the matrix format.
@@ -127,7 +129,17 @@ def max_edges_with_girth(
 
     Include/exclude search over edges in lexicographic order: an edge may be
     added only when its endpoints are at distance >= girth_min - 1, so every
-    cycle ever closed has length >= girth_min.  A node is one edge
+    cycle ever closed has length >= girth_min.
+
+    Symmetry: vertex 1 has the maximum degree d, and its neighbours are
+    exactly 2, ..., d+1.  Any graph can be relabelled so that a vertex of
+    maximum degree is 1 and its neighbours come next, so no optimum is lost.
+    The search tries d = m-1, m-2, ... in turn, which fixes the edges at
+    vertex 1, and searches the other edges with every degree capped at d.
+    It stops once floor(m d / 2), the most edges a graph of maximum degree
+    d can have, cannot beat the best graph.
+
+    A node is one choice of d, or one edge between vertices 2..m
     considered, whether it can be added or not; a branch stops once the
     edges left cannot beat the best graph.  The witness is returned as a
     code (columns are the edges of a maximum graph).
@@ -142,8 +154,9 @@ def max_edges_with_girth(
     meter = Meter(budget)
     tick = meter.tick
     adj = [0] * (m + 1)  # neighbour bitmask of each vertex
+    cap = m - 1  # degree of vertex 1, which no other vertex may exceed
     chosen: list[tuple[int, int]] = []
-    best = -1
+    best = 0
     best_edges: list[tuple[int, int]] = []
 
     def descend(idx: int) -> None:
@@ -155,7 +168,10 @@ def max_edges_with_girth(
             best_edges = chosen.copy()
         while idx < len(all_edges) + depth - best:
             u, v = all_edges[idx]
+            idx += 1
             tick()
+            if adj[u].bit_count() == cap or adj[v].bit_count() == cap:
+                continue
             # Frontier BFS from u over bitmasks: v must not be reached
             # within girth_min - 2 steps.
             target = 1 << v
@@ -174,15 +190,30 @@ def max_edges_with_girth(
                 adj[u] |= target
                 adj[v] |= 1 << u
                 chosen.append((u, v))
-                descend(idx + 1)
+                descend(idx)
                 chosen.pop()
                 adj[u] ^= target
                 adj[v] ^= 1 << u
-            idx += 1
 
+    # Vertex 1 starts adjacent to every other vertex; each pass of the loop
+    # below drops its last neighbour.
+    for v in range(2, m + 1):
+        adj[1] |= 1 << v
+        adj[v] = 1 << 1
+        chosen.append((1, v))
     exhausted = False
     try:
-        descend(0)
+        # Vertex 1 has maximum degree `cap` and neighbours 2, ..., cap+1;
+        # the edges between vertices 2..m (from index m-1) are searched
+        # under that cap.
+        while m * cap // 2 > best:
+            tick()
+            descend(m - 1)
+            v = cap + 1
+            adj[1] ^= 1 << v
+            adj[v] = 0
+            chosen.pop()
+            cap -= 1
     except BudgetExhausted:
         exhausted = True
 

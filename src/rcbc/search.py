@@ -14,6 +14,12 @@ beat the best found.  A node is one candidate considered, whether it fits or
 not: the unfit candidates jumped over are counted in bulk, and the budget
 stops a search at the same node as if each had been counted on its own.
 
+exact_min_weight also bounds the weight of every code completing a placed
+candidate, by counting the room left in the (r+k-1)-subsets and the
+unblocked candidates, and skips the subtree when the bound cannot beat the
+best code.  A skipped subtree counts no nodes, so its exact runs visit a
+subsequence of the nodes of the scan without the bound, in the same order.
+
 Row relabeling symmetry is broken at the first column only: the least column
 of an optimal multiset can always be relabeled to a prefix {1, ..., c}.
 """
@@ -179,21 +185,67 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     """Minimum total weight of any code for p, by branch and bound.
 
     Candidate columns take every cardinality in [r+1, r+k]: smaller columns
-    appear in no code, and any column above r+k could be shrunk.  Branches
-    are pruned when the current weight plus (slots left) * (current column
+    appear in no code, and any column above r+k could be shrunk.  The scan
+    of a level stops where the current weight plus (slots left) * (column
     cardinality) cannot beat the best complete code found.
+
+    Each candidate that fits is placed and gets a lower bound on the weight
+    of every code that completes it: acc + slots * (r+k) - save, where
+    `save` bounds the weight saved against filling the slots left with
+    (r+k)-columns.  `save` is the smaller of two relaxations:
+
+    - count: the unblocked candidates from this index on, cheapest first,
+      each of cardinality c < r+k used at most c - r times (the room of its
+      own support) and saving r+k-c per copy;
+    - room: the room left in the (r+k-1)-subsets, (k-1) C(m, r+k-1) at the
+      start.  A c-column takes C(m-c, r+k-1-c) >= r+k-c of it, so each unit
+      of room saves at most one.
+
+    A candidate whose bound reaches the best weight is removed again without
+    a descent.  Its subtree holds no better code and counts no nodes, so an
+    uncapped run finds the optimum and witness of the scan without the
+    bound, in a subsequence of its nodes.  A run cut short by the budget
+    reports the bound at the empty placement as `lower`.  That bound is at
+    least the floor (r+1)n, since no copy saves more than k-1, and once
+    n >= (k-1) C(m, r+k-1) it equals the large-n weight
+    n(r+k) - (k-1) C(m, r+k-1).
     """
     validate_params(p)
     n, k, m, r = p.n, p.k, p.m, p.r
+    top = r + k
     cols = [
         col
-        for card in range(r + 1, min(r + k, m) + 1)
+        for card in range(r + 1, top + 1)
         for col in combinations(range(1, m + 1), card)
     ]
     cards = [len(col) for col in cols]
+    # Room each candidate takes from the (r+k-1)-subsets, in total.
+    uses = [math.comb(m - c, top - 1 - c) if c < top else 0 for c in cards]
+    # (candidate bitmask, copies, saving per copy) for each cardinality < r+k.
+    classes = [
+        (sum(1 << j for j, cj in enumerate(cards) if cj == c), c - r, top - c)
+        for c in range(r + 1, top)
+    ]
+
+    def weight_floor(j: int, blocked: int, slots: int, acc: int, room: int) -> int:
+        """Lower bound on the weight of acc plus `slots` more columns, taken
+        from the candidates j, j+1, ... not in `blocked`."""
+        save, left = 0, slots
+        free = ~blocked >> j << j
+        for mask, copies, gain in classes:
+            count = (free & mask).bit_count() * copies
+            if count >= left:
+                save += left * gain
+                break
+            save += count * gain
+            left -= count
+        return acc + slots * top - min(save, room)
+
+    room0 = (k - 1) * math.comb(m, top - 1)
+    root_floor = weight_floor(0, 0, n, 0, room0)
     # Above the weight of every candidate multiset, so nothing is pruned
     # until a code is found.
-    best_weight = cards[-1] * n + 1
+    best_weight = top * n + 1
     # Cardinalities are nondecreasing: first_wider[c] is the index of the
     # first candidate of cardinality >= c, where pruning starts.
     first_wider = [bisect_left(cards, c) for c in range(best_weight + 1)]
@@ -207,7 +259,19 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     best: list[int] | None = None
     chosen: list[int] = []
 
-    def descend(j: int, blocked: int, slots: int, acc: int) -> None:
+    def branch(j: int, blocked: int, slots: int, acc: int, room: int) -> None:
+        """Place candidate j, which fits, and descend unless the bound
+        rules out every code that completes it."""
+        child = place(j, blocked)
+        acc += cards[j]
+        room -= uses[j]
+        if weight_floor(j, child, slots, acc, room) < best_weight:
+            chosen.append(j)
+            descend(j, child, slots, acc, room)
+            chosen.pop()
+        remove(j)
+
+    def descend(j: int, blocked: int, slots: int, acc: int, room: int) -> None:
         """Fill `slots` more slots from candidates j, j+1, ... not blocked."""
         nonlocal best_weight, best, nodes, check_at
         if slots == 0:
@@ -228,10 +292,7 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
                 check_at = meter.add(nodes - meter.nodes)
             if fit >= stop:
                 return
-            chosen.append(fit)
-            descend(fit, place(fit, blocked), slots - 1, acc + cards[fit])
-            chosen.pop()
-            remove(fit)
+            branch(fit, blocked, slots - 1, acc, room)
             j = fit + 1
 
     try:
@@ -241,14 +302,10 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
             nodes += 1
             if nodes >= check_at:
                 check_at = meter.add(nodes - meter.nodes)
-            chosen.append(j)
-            descend(j, place(j, 0), n - 1, cards[j])
-            chosen.pop()
-            remove(j)
+            branch(j, 0, n - 1, 0, room0)
     except BudgetExhausted:
         witness = BatchCode(m, [cols[j] for j in best]) if best is not None else None
-        # Sound floor: every column needs at least r+1 servers.
-        return SearchResult((r + 1) * n, witness, False, "lower", meter.nodes)
+        return SearchResult(root_floor, witness, False, "lower", meter.nodes)
     assert best is not None  # all-(r+k)-cardinality multisets are always codes
     witness = BatchCode(m, [cols[j] for j in best])
     return SearchResult(best_weight, witness, True, "exact", nodes)

@@ -201,7 +201,10 @@ def brute_max_extension(code: BatchCode, p: CodeParams) -> int:
 # Reference searches: the per-candidate loops the blocked-candidate skip
 # replaced.  Every candidate tried costs one tick(), fit or not, and a
 # candidate is placed and removed through room counters.  Kept only to
-# compare results, witnesses and node counts against the library.
+# compare results, witnesses and node counts against the library.  They
+# have neither the weight bound of exact_min_weight nor the maximum-degree
+# symmetry of max_edges_with_girth, so they are the unpruned oracles for
+# both.
 
 
 class _RefExhausted(Exception):

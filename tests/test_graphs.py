@@ -141,6 +141,16 @@ class TestMaxEdges:
         assert max_edges_with_girth(5, 5).value == 5
         assert max_edges_with_girth(6, 4).value == 9
 
+    def test_extremal_values_up_to_ten_vertices(self):
+        # Mantel: triangle-free graphs have at most floor(m^2/4) edges.
+        # OEIS A006855: most edges with no 3- or 4-cycle.
+        girth5 = (0, 1, 2, 3, 5, 6, 8, 10, 12, 15)
+        for m in range(1, 11):
+            four = max_edges_with_girth(m, 4)
+            five = max_edges_with_girth(m, 5)
+            assert (four.value, four.exact) == (m * m // 4, True), m
+            assert (five.value, five.exact) == (girth5[m - 1], True), m
+
     def test_witness_achieves_the_bound(self):
         result = max_edges_with_girth(6, 4)
         g = graph_from_code(result.witness)
@@ -165,26 +175,30 @@ class TestMaxEdges:
             assert max_edges_with_girth(4, girth_min).value == expected
 
     def test_pinned_node_count(self):
-        # Taken from the list-adjacency search the bitmask BFS replaced.
+        # Taken from the search with vertex 1 of maximum degree.
         result = max_edges_with_girth(7, 5)
-        assert (result.value, result.exact, result.nodes) == (8, True, 48_813)
+        assert (result.value, result.exact, result.nodes) == (8, True, 344)
         assert result.witness.columns == (
             (1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 6), (5, 7),
         )
 
     @pytest.mark.parametrize("node_limit", [1, 37, 20_000])
     def test_matches_reference_loop(self, node_limit):
-        # Value, witness and node count equal those of the two-call
-        # include/exclude search in helpers, capped or not.
+        # Where the two-call include/exclude search in helpers (no symmetry
+        # rule) is exact, the value is the same.  Capped or not, the witness
+        # is a simple graph of girth >= girth_min with `value` edges.
         budget = SearchBudget(node_limit=node_limit)
         for m in range(1, 9):
             for girth_min in range(3, 8):
                 got = max_edges_with_girth(m, girth_min, budget)
                 want = reference_max_edges_with_girth(m, girth_min, budget)
-                assert (got.value, got.exact, got.bound, got.nodes) == (
-                    want.value, want.exact, want.bound, want.nodes
-                ), (m, girth_min)
-                assert got.witness.columns == want.witness.columns
+                if want.exact:
+                    assert (got.value, got.exact) == (want.value, True), (m, girth_min)
+                assert got.bound == ("exact" if got.exact else "lower")
+                g = graph_from_code(got.witness)
+                assert g.vertices == m
+                assert g.edge_count == got.value
+                assert girth(g) >= girth_min, (m, girth_min)
 
     def test_budget_exhaustion_reports_lower_bound(self):
         result = max_edges_with_girth(9, 5, SearchBudget(node_limit=20))
@@ -193,6 +207,23 @@ class TestMaxEdges:
         g = graph_from_code(result.witness)
         assert girth(g) >= 5
         assert g.edge_count == result.value
+
+
+class TestNetworkxOracle:
+    """Witnesses checked with networkx's girth, which shares no code with
+    the library (networkx is a test-only dependency)."""
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_witness_girth(self, m):
+        nx = pytest.importorskip("networkx")
+        for girth_min in range(3, 7):
+            result = max_edges_with_girth(m, girth_min)
+            assert result.exact
+            g = nx.Graph(result.witness.columns)
+            g.add_nodes_from(range(1, m + 1))
+            assert g.number_of_nodes() == m
+            assert g.number_of_edges() == result.value
+            assert nx.girth(g) >= girth_min, (m, girth_min)
 
 
 class TestGraphText:
