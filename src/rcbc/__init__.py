@@ -4,124 +4,18 @@ Placements of n files on m servers that serve any batch of k distinct files
 from any m - r servers, one file per server, at minimal total storage.
 """
 
-from .constructions import (
-    NoKnownConstruction,
-    PackingDesign,
-    RegimePrediction,
-    complete_packing_design,
-    construct_circulant,
-    construct_from_design,
-    construct_gap,
-    construct_large_n,
-    construct_max_k,
-    construct_optimal,
-    extend_with_columns,
-    extension_capacity,
-    predicted_weight,
-)
-from .core import (
-    BatchCode,
-    CardinalityProfile,
-    CodeParams,
-    ColumnUnionWitness,
-    ParameterError,
-    RowContainmentWitness,
-    ServiceWitness,
-    StrategyDisagreement,
-    VerifyReport,
-    canonicalize,
-    cardinality_profile,
-    cross_check,
-    move_ones,
-    normalize_types,
-    validate_params,
-    verify,
-    weight,
-)
-from .graphs import (
-    GraphFormatError,
-    NotAGraph,
-    SimpleGraph,
-    code_from_graph,
-    girth,
-    graph_from_code,
-    max_edges_with_girth,
-    parse_graph,
-    render_graph,
-)
-from .matrixio import MatrixFormatError, parse_matrix, render_matrix
-from .retrieval import (
-    InfeasibleDemand,
-    RetrievalPlan,
-    ServiceFailure,
-    exhaustive_service_check,
-    plan_retrieval,
-)
-from .search import (
-    DEFAULT_BUDGET,
-    SearchBudget,
-    SearchResult,
-    exact_min_weight,
-    gap_base_max,
-    trivial_weight_max,
-    uniform_packing_max,
-)
+from . import constructions, core, graphs, matrixio, retrieval, search
+from .constructions import *
+from .core import *
+from .graphs import *
+from .matrixio import *
+from .retrieval import *
+from .search import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BatchCode",
-    "CardinalityProfile",
-    "CodeParams",
-    "ColumnUnionWitness",
-    "DEFAULT_BUDGET",
-    "GraphFormatError",
-    "InfeasibleDemand",
-    "MatrixFormatError",
-    "NoKnownConstruction",
-    "NotAGraph",
-    "PackingDesign",
-    "ParameterError",
-    "RegimePrediction",
-    "RetrievalPlan",
-    "RowContainmentWitness",
-    "SearchBudget",
-    "SearchResult",
-    "ServiceFailure",
-    "ServiceWitness",
-    "SimpleGraph",
-    "StrategyDisagreement",
-    "VerifyReport",
-    "canonicalize",
-    "cardinality_profile",
-    "code_from_graph",
-    "complete_packing_design",
-    "construct_circulant",
-    "construct_from_design",
-    "construct_gap",
-    "construct_large_n",
-    "construct_max_k",
-    "construct_optimal",
-    "cross_check",
-    "exact_min_weight",
-    "exhaustive_service_check",
-    "extend_with_columns",
-    "extension_capacity",
-    "gap_base_max",
-    "girth",
-    "graph_from_code",
-    "max_edges_with_girth",
-    "move_ones",
-    "normalize_types",
-    "parse_graph",
-    "parse_matrix",
-    "plan_retrieval",
-    "predicted_weight",
-    "render_graph",
-    "render_matrix",
-    "trivial_weight_max",
-    "uniform_packing_max",
-    "validate_params",
-    "verify",
-    "weight",
-]
+__all__ = sorted(
+    name
+    for module in (constructions, core, graphs, matrixio, retrieval, search)
+    for name in module.__all__
+)

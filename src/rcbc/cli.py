@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .constructions import NoKnownConstruction, construct_optimal, predicted_weight
 from .core import (
+    STRATEGIES,
     CodeParams,
     ColumnUnionWitness,
     RowContainmentWitness,
@@ -172,11 +173,7 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     try:
         plan = plan_retrieval(code, p, demand, available)
     except InfeasibleDemand as exc:
-        print(
-            f"infeasible: files {list(exc.hall_set)} reach fewer than "
-            f"{len(exc.hall_set)} of the available servers",
-            file=sys.stderr,
-        )
+        print(f"infeasible: {exc}", file=sys.stderr)
         return 1
     print(" ".join(f"{f}->{s}" for f, s in plan.assignment))
     return 0
@@ -281,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sub)
     sub.add_argument(
         "--strategy",
-        choices=["auto", "definitional", "column-union", "row-containment", "all"],
+        choices=["auto", *STRATEGIES, "all"],
         default="auto",
         help="verification strategy; 'all' cross-checks the three",
     )

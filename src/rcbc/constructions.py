@@ -278,8 +278,6 @@ def construct_gap(p: CodeParams, base: BatchCode) -> BatchCode:
     validate_params(p)
     if p.k < 3:
         raise ValueError(f"gap construction needs k >= 3, got k={p.k}")
-    if p.m < p.r + p.k:
-        raise ValueError(f"need m >= r+k, got m={p.m}")
     if base.m != p.m:
         raise ValueError(f"base is on {base.m} servers, expected {p.m}")
     want = p.r + p.k - 2
@@ -311,7 +309,7 @@ class RegimePrediction:
 
     value: int | None
     regime: str | None
-    exactness: Literal["proven-optimal", "upper-bound"] | None
+    exactness: Literal["proven-optimal"] | None
     budget_limited: bool = False
 
     @property

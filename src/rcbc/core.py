@@ -296,11 +296,8 @@ def _verify_row_containment(code: BatchCode, p: CodeParams) -> VerifyReport:
 def _verify_definitional(code: BatchCode, p: CodeParams) -> VerifyReport:
     from . import retrieval  # deferred: retrieval builds on these types
 
-    failure = retrieval.exhaustive_service_check(code, p)
-    if failure is None:
-        return VerifyReport(True, "definitional")
-    witness = ServiceWitness(failure.demand, failure.available, failure.hall_set)
-    return VerifyReport(False, "definitional", witness)
+    witness = retrieval.exhaustive_service_check(code, p)
+    return VerifyReport(witness is None, "definitional", witness)
 
 
 def cross_check(code: BatchCode, p: CodeParams) -> VerifyReport:

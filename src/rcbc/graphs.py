@@ -201,7 +201,7 @@ def max_edges_with_girth(
         adj[1] |= 1 << v
         adj[v] = 1 << 1
         chosen.append((1, v))
-    exhausted = False
+    exact = True
     try:
         # Vertex 1 has maximum degree `cap` and neighbours 2, ..., cap+1;
         # the edges between vertices 2..m (from index m-1) are searched
@@ -215,12 +215,11 @@ def max_edges_with_girth(
             chosen.pop()
             cap -= 1
     except BudgetExhausted:
-        exhausted = True
-
+        exact = False
     witness = code_from_graph(SimpleGraph(m, best_edges))
-    if exhausted:
-        return SearchResult(best, witness, False, "lower", meter.nodes)
-    return SearchResult(best, witness, True, "exact", meter.nodes)
+    return SearchResult(
+        best, witness, exact, "exact" if exact else "lower", meter.nodes
+    )
 
 
 # ---------------------------------------------------------------------------

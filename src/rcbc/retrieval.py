@@ -12,12 +12,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .core import BatchCode, CodeParams, _check_dimensions, _check_serviceability
+from .core import (
+    BatchCode,
+    CodeParams,
+    ServiceWitness,
+    _check_dimensions,
+    _check_serviceability,
+)
 
 __all__ = [
     "InfeasibleDemand",
     "RetrievalPlan",
-    "ServiceFailure",
     "exhaustive_service_check",
     "plan_retrieval",
 ]
@@ -55,15 +60,6 @@ class InfeasibleDemand(Exception):
         self.demand = demand
         self.available = available
         self.hall_set = hall_set
-
-
-@dataclass(frozen=True)
-class ServiceFailure:
-    """First demand / availability pair (in lexicographic order) with no plan."""
-
-    demand: tuple[int, ...]
-    available: tuple[int, ...]
-    hall_set: tuple[int, ...]
 
 
 def _find_assignment(
@@ -137,11 +133,11 @@ def plan_retrieval(
     return RetrievalPlan(tuple(sorted(result.items())))
 
 
-def exhaustive_service_check(code: BatchCode, p: CodeParams) -> ServiceFailure | None:
+def exhaustive_service_check(code: BatchCode, p: CodeParams) -> ServiceWitness | None:
     """Try every maximal demand against every maximal availability set.
 
-    Returns None when all pairs are servable, else the first failing pair in
-    (demand, availability) lexicographic order.  Serving smaller demands or
+    Returns None when all pairs are servable, else a witness for the first
+    failing pair in (demand, availability) lexicographic order.  Serving smaller demands or
     larger availability sets is implied by restriction, so maximal pairs
     decide the property.
     """
@@ -156,5 +152,5 @@ def exhaustive_service_check(code: BatchCode, p: CodeParams) -> ServiceFailure |
         for avail in combinations(range(1, p.m + 1), asize):
             result = _find_assignment(colsets, dem, set(avail))
             if isinstance(result, tuple):
-                return ServiceFailure(dem, avail, result)
+                return ServiceWitness(dem, avail, result)
     return None

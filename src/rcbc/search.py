@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Literal
 
-from .core import BatchCode, CodeParams, ParameterError, validate_params
+from .core import BatchCode, CodeParams, _check_serviceability, validate_params
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -122,13 +122,6 @@ class Meter:
             self.check_at = min(self.limit, self.nodes + 4096)
         self.nodes = nodes
         return self.check_at
-
-
-def _check_batch(k: int, m: int, r: int) -> None:
-    if not 0 <= r < m:
-        raise ParameterError(f"need 0 <= r < m, got r={r}, m={m}")
-    if k < 1 or k > m - r:
-        raise ParameterError(f"need 1 <= k <= m-r, got k={k}, m-r={m - r}")
 
 
 class _Placement:
@@ -325,7 +318,7 @@ def uniform_packing_max(
     containment counters as exact_min_weight, maximizing the column count.
     `limit` caps the count when the caller only needs that much.
     """
-    _check_batch(k, m, r)
+    _check_serviceability(CodeParams(0, k, m, r))
     if not r + 1 <= cardinality <= min(r + k - 1, m):
         # Cardinality-(r+k) columns satisfy every subset condition, so their
         # packings are unbounded; nothing to search there.
@@ -336,14 +329,12 @@ def uniform_packing_max(
     cols = list(combinations(range(1, m + 1), cardinality))
     state = _Placement(m, k, r, cols)
     place, remove = state.place, state.remove
-    # Max copies of each column if placed alone; used for suffix pruning.
-    suffix = [0] * (len(cols) + 1)
-    for j in range(len(cols) - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + min(state.room[i] for i in state.touched[j])
-    # suffix is nonincreasing: first_at_most[v] is the first j with
-    # suffix[j] <= v, where pruning starts while the best leads by v.
-    descending = [-s for s in suffix]
-    first_at_most = [bisect_left(descending, -v) for v in range(suffix[0] + 1)]
+    # A column alone fits at most cardinality - r copies (the room of its own
+    # support), so candidates j, j+1, ... add at most (len(cols) - j) times
+    # that.  first_at_most[v] is the first j where that is <= v, where
+    # pruning starts while the best leads by v.
+    copies = cardinality - r
+    first_at_most = [len(cols) - v // copies for v in range(len(cols) * copies + 1)]
     meter = Meter(budget or DEFAULT_BUDGET)
     nodes = 0
     check_at = meter.check_at
@@ -433,7 +424,7 @@ def trivial_weight_max(
     For k=1 the answer is unbounded (repeat any column), reported as value
     None; `limit` caps the search otherwise.
     """
-    _check_batch(k, m, r)
+    _check_serviceability(CodeParams(0, k, m, r))
     if k == 1:
         return SearchResult(None, None, True, "exact", 0)
     return uniform_packing_max(k, m, r, r + 1, limit=limit, budget=budget)

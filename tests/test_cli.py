@@ -15,6 +15,10 @@ from rcbc.cli import main
 from helpers import MANY_FILES_TEXT, TALL_TEXT, MAX_BATCH_TEXT, TALL_PARAMS
 
 
+# Files on servers {1}, {1, 2} and {2}; not a code for (3, 2, 3, 1).
+FAILING_TEXT = "3 3\n110\n011\n000\n"
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -148,6 +152,44 @@ class TestVerify:
         assert err.startswith("fail (")
         assert "columns [1]" in err
 
+    def test_row_containment_witness_message(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(FAILING_TEXT)
+        code, out, err = run(
+            capsys,
+            "verify",
+            "--params",
+            "3,2,3,1",
+            "--strategy",
+            "row-containment",
+            str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "fail (row-containment): servers [1] fully contain columns [1] "
+            "(1 exceeds 1 - r)\n"
+        )
+
+    def test_definitional_witness_message(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(FAILING_TEXT)
+        code, out, err = run(
+            capsys,
+            "verify",
+            "--params",
+            "3,2,3,1",
+            "--strategy",
+            "definitional",
+            str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "fail (definitional): demand [1, 2] with servers [1, 3] available: "
+            "files [1, 2] reach fewer than 2 servers\n"
+        )
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(TALL_TEXT))
         code, out, _ = run(capsys, "verify", "--params", "4,3,6,3", "-")
@@ -214,6 +256,26 @@ class TestRetrieve:
         assert out == ""
         assert "infeasible" in err
         assert "files [1, 2]" in err
+
+    def test_infeasible_message(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(FAILING_TEXT)
+        code, out, err = run(
+            capsys,
+            "retrieve",
+            "--params",
+            "3,2,3,1",
+            "--demand",
+            "1,3",
+            "--down",
+            "2",
+            str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "infeasible: files [3] reach fewer than 1 of the available servers\n"
+        )
 
     def test_bad_demand_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "tall.txt"
@@ -302,6 +364,16 @@ class TestTable:
         )
         assert code == 0
         assert out.strip() == "n,k,m,r,regime,predicted,oracle,exact"
+
+    def test_k0_tuples_skipped(self, capsys):
+        code, out, _ = run(
+            capsys, "table", "--n", "1:3", "--k", "0:1", "--m", "3", "--r", "0"
+        )
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert [row.split(",")[:5] for row in rows] == [
+            [str(n), "1", "3", "0", "k1"] for n in (1, 2, 3)
+        ]
 
     def test_comma_lists(self, capsys):
         code, out, _ = run(

@@ -256,6 +256,12 @@ class TestUniformPackingMax:
         with pytest.raises(ValueError):
             uniform_packing_max(2, 5, 1, 3)
 
+    def test_rejects_parameters_with_no_code(self):
+        with pytest.raises(ParameterError):
+            uniform_packing_max(3, 4, 4, 2)  # r >= m
+        with pytest.raises(ParameterError):
+            uniform_packing_max(4, 5, 2, 3)  # k > m - r
+
     def test_limit_above_maximum_changes_nothing(self):
         result = uniform_packing_max(3, 4, 1, 3)
         grow = uniform_packing_max(3, 4, 1, 3, limit=result.value + 1)
@@ -388,6 +394,10 @@ class TestTrivialWeightMax:
     def test_limit_short_circuits(self):
         result = trivial_weight_max(2, 6, 1, limit=3)
         assert result.value == 3
+
+    def test_rejects_r_at_least_m(self):
+        with pytest.raises(ParameterError):
+            trivial_weight_max(2, 3, 3)
 
     def test_boundary_weight_is_truly_minimal(self):
         # At the maximum n, weight (r+1)n is met; verify the witness directly.
