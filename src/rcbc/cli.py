@@ -17,7 +17,6 @@ from .core import (
     CodeParams,
     ColumnUnionWitness,
     RowContainmentWitness,
-    ServiceWitness,
     cross_check,
     validate_params,
     verify,
@@ -124,13 +123,11 @@ def _describe(witness) -> str:
             f"{list(witness.columns)} ({len(witness.columns)} exceeds "
             f"{len(witness.rows)} - r)"
         )
-    if isinstance(witness, ServiceWitness):
-        return (
-            f"demand {list(witness.demand)} with servers {list(witness.available)} "
-            f"available: files {list(witness.hall_set)} reach fewer than "
-            f"{len(witness.hall_set)} servers"
-        )
-    return str(witness)
+    return (
+        f"demand {list(witness.demand)} with servers {list(witness.available)} "
+        f"available: files {list(witness.hall_set)} reach fewer than "
+        f"{len(witness.hall_set)} servers"
+    )
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -169,6 +166,9 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     code = parse_matrix(_read_text(args.file))
     demand = _int_list(args.demand)
     down = set(_int_list(args.down))
+    outside = sorted(s for s in down if not 1 <= s <= p.m)
+    if outside:
+        raise ValueError(f"down servers {outside} are not within servers 1..{p.m}")
     available = sorted(set(range(1, p.m + 1)) - down)
     try:
         plan = plan_retrieval(code, p, demand, available)
@@ -182,47 +182,33 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
 def _cmd_optimal(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     result = exact_min_weight(p, _budget(args))
-    if result.exact:
-        text = (
-            f"# weight: {result.value}\n"
-            f"# exact: yes\n"
-            f"# nodes: {result.nodes}\n" + render_matrix(result.witness)
-        )
-        _emit(text, args.out)
-        return 0
-    lines = [
-        f"# weight-lower-bound: {result.value}",
-        "# exact: no",
-        f"# nodes: {result.nodes}",
-    ]
-    text = "\n".join(lines) + "\n"
+    text = (
+        f"# {'weight' if result.exact else 'weight-lower-bound'}: {result.value}\n"
+        f"# exact: {'yes' if result.exact else 'no'}\n"
+        f"# nodes: {result.nodes}\n"
+    )
     if result.witness is not None:
-        text += f"# best-found-weight: {weight(result.witness)}\n"
+        if not result.exact:
+            text += f"# best-found-weight: {weight(result.witness)}\n"
         text += render_matrix(result.witness)
     _emit(text, args.out)
-    return 3
+    return 0 if result.exact else 3
 
 
-def _table_item(item: tuple[int, int, int, int, int, float]):
-    n, k, m, r, node_limit, time_limit = item
-    budget = SearchBudget(node_limit=node_limit, time_limit=time_limit)
-    p = CodeParams(n, k, m, r)
+def _table_row(budget: SearchBudget, p: CodeParams) -> tuple[str, bool]:
+    """One CSV row comparing p's formula with the oracle, and oracle.exact."""
     prediction = predicted_weight(p, budget=budget)
     oracle = exact_min_weight(p, budget)
+    predicted = "" if prediction.value is None else prediction.value
     return (
-        n,
-        k,
-        m,
-        r,
-        prediction.regime or "unknown",
-        "" if prediction.value is None else prediction.value,
-        oracle.value,
+        f"{p.n},{p.k},{p.m},{p.r},{prediction.regime or 'unknown'},{predicted},"
+        f"{oracle.value},{'true' if oracle.exact else 'false'}",
         oracle.exact,
     )
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    items = []
+    params = []
     for n in _parse_range(args.n):
         for k in _parse_range(args.k):
             for m in _parse_range(args.m):
@@ -232,21 +218,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
                     except ValueError:
                         continue
                     if p.is_valid:
-                        items.append((n, k, m, r, args.node_limit, args.time_limit))
+                        params.append(p)
     print("n,k,m,r,regime,predicted,oracle,exact")
+    row = functools.partial(_table_row, _budget(args))
     if args.jobs > 1:
         from multiprocessing import Pool
 
         with Pool(args.jobs) as pool:
-            rows = pool.map(_table_item, items)
+            rows = pool.map(row, params)
     else:
-        rows = [_table_item(item) for item in items]
-    all_exact = True
-    for n, k, m, r, regime, predicted, oracle, exact in rows:
-        all_exact &= exact
-        flag = "true" if exact else "false"
-        print(f"{n},{k},{m},{r},{regime},{predicted},{oracle},{flag}")
-    return 0 if all_exact else 3
+        rows = [row(p) for p in params]
+    for line, _ in rows:
+        print(line)
+    return 0 if all(exact for _, exact in rows) else 3
 
 
 def _cmd_girth_search(args: argparse.Namespace) -> int:

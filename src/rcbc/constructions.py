@@ -34,12 +34,9 @@ __all__ = [
 ]
 
 
-def _comb(a: int, b: int) -> int:
-    return math.comb(a, b) if 0 <= b <= a else 0
-
-
-def _window(start: int, width: int, m: int) -> tuple[int, ...]:
-    return tuple(sorted((start - 1 + x) % m + 1 for x in range(width)))
+def _windows(m: int, width: int) -> list[tuple[int, ...]]:
+    """The m cyclic windows {j, j+1, ..., j+width-1} (mod m), j = 1..m."""
+    return [tuple(sorted((j + x) % m + 1 for x in range(width))) for j in range(m)]
 
 
 def construct_circulant(p: CodeParams) -> BatchCode:
@@ -51,7 +48,7 @@ def construct_circulant(p: CodeParams) -> BatchCode:
     validate_params(p)
     if p.n > p.m:
         raise ValueError(f"circulant construction needs n <= m, got n={p.n}, m={p.m}")
-    return BatchCode(p.m, [_window(j, p.r + 1, p.m) for j in range(1, p.n + 1)])
+    return BatchCode(p.m, _windows(p.m, p.r + 1)[: p.n])
 
 
 def construct_max_k(n: int, m: int, r: int) -> BatchCode:
@@ -64,10 +61,7 @@ def construct_max_k(n: int, m: int, r: int) -> BatchCode:
         raise ValueError(f"need 0 <= r < m, got r={r}, m={m}")
     if n < m:
         raise ValueError(f"max-batch construction needs n >= m, got n={n}, m={m}")
-    full = tuple(range(1, m + 1))
-    cols = [_window(j, r + 1, m) for j in range(1, m + 1)]
-    cols.extend([full] * (n - m))
-    return BatchCode(m, cols)
+    return BatchCode(m, _windows(m, r + 1) + [tuple(range(1, m + 1))] * (n - m))
 
 
 def construct_large_n(p: CodeParams) -> BatchCode:
@@ -80,7 +74,7 @@ def construct_large_n(p: CodeParams) -> BatchCode:
     validate_params(p)
     if p.k < 2:
         raise ValueError("large-n construction needs k >= 2; use windows for k=1")
-    threshold = (p.k - 1) * _comb(p.m, p.r + p.k - 1)
+    threshold = (p.k - 1) * math.comb(p.m, p.r + p.k - 1)
     if p.n < threshold:
         raise ValueError(
             f"large-n construction needs n >= {threshold}, got n={p.n}"
@@ -114,8 +108,8 @@ def extension_capacity(code: BatchCode, p: CodeParams) -> int:
             )
     if not verify(code, p_here).ok:
         raise ValueError("code does not verify; capacity is undefined")
-    used = sum(_comb(p.m - len(col), top - len(col)) for col in code.columns)
-    return (p.k - 1) * _comb(p.m, top) - used
+    used = sum(math.comb(p.m - len(col), top - len(col)) for col in code.columns)
+    return (p.k - 1) * math.comb(p.m, top) - used
 
 
 def extend_with_columns(code: BatchCode, p: CodeParams, count: int) -> BatchCode:
@@ -164,31 +158,19 @@ class PackingDesign:
     max_coverage: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def __init__(
-        self,
-        points: int,
-        block_size: int,
-        strength: int,
-        max_coverage: int,
-        blocks,
-    ) -> None:
-        if points < 1 or block_size < 1 or strength < 1 or max_coverage < 0:
+    def __post_init__(self) -> None:
+        points, size = self.points, self.block_size
+        if points < 1 or size < 1 or self.strength < 1 or self.max_coverage < 0:
             raise ValueError("design parameters must be positive (coverage >= 0)")
-        if strength > block_size:
-            raise ValueError(f"strength {strength} exceeds block size {block_size}")
-        norm = []
-        for block in blocks:
-            b = tuple(sorted(set(block)))
-            if len(b) != block_size:
-                raise ValueError(f"block {b} does not have size {block_size}")
+        if self.strength > size:
+            raise ValueError(f"strength {self.strength} exceeds block size {size}")
+        blocks = tuple(tuple(sorted(set(block))) for block in self.blocks)
+        for b in blocks:
+            if len(b) != size:
+                raise ValueError(f"block {b} does not have size {size}")
             if b[0] < 1 or b[-1] > points:
                 raise ValueError(f"block {b} is not within points 1..{points}")
-            norm.append(b)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "block_size", block_size)
-        object.__setattr__(self, "strength", strength)
-        object.__setattr__(self, "max_coverage", max_coverage)
-        object.__setattr__(self, "blocks", tuple(norm))
+        object.__setattr__(self, "blocks", blocks)
 
     def coverage_violation(self) -> tuple[int, ...] | None:
         """A strength-subset covered by too many blocks, or None."""
@@ -286,7 +268,7 @@ def construct_gap(p: CodeParams, base: BatchCode) -> BatchCode:
             raise ValueError(
                 f"base column cardinality {len(col)}, expected {want}"
             )
-    total = (p.k - 1) * _comb(p.m, p.r + p.k - 1)
+    total = (p.k - 1) * math.comb(p.m, p.r + p.k - 1)
     if p.n > total:
         raise ValueError(f"gap construction needs n <= {total}, got n={p.n}")
     x = (total - p.n) // (p.m - p.r - p.k + 1)
@@ -360,17 +342,17 @@ def predicted_weight(
         found.append(("k1", (r + 1) * n))
     if n <= m:
         found.append(("circulant", (r + 1) * n))
-    if k == 2 and n <= _comb(m, r + 1):
+    if k == 2 and n <= math.comb(m, r + 1):
         found.append(("k2-small", (r + 1) * n))
     if k == m - r and n >= m:
         found.append(("max-k", m * (n - m + r + 1)))
-    total = (k - 1) * _comb(m, r + k - 1)
+    total = (k - 1) * math.comb(m, r + k - 1)
     if k >= 2 and n >= total:
         found.append(("large-n", (r + k) * n - total))
     budget_limited = False
-    if k >= 3 and m >= r + k and n < total:
+    if k >= 3 and n < total:
         # Cheap prefilter: even the largest conceivable base cannot reach n.
-        cap = ((k - 1) * _comb(m, r + k - 2)) // (r + k - 1)
+        cap = ((k - 1) * math.comb(m, r + k - 2)) // (r + k - 1)
         span = m - r - k + 1
         if n >= total - span * cap:
             base = _gap_base(k, m, r, budget)
@@ -401,9 +383,7 @@ def construct_optimal(
     if not prediction.known:
         raise NoKnownConstruction(p, budget_limited=prediction.budget_limited)
     builders = {
-        "k1": lambda: BatchCode(
-            p.m, [_window((j - 1) % p.m + 1, p.r + 1, p.m) for j in range(1, p.n + 1)]
-        ),
+        "k1": lambda: BatchCode(p.m, islice(cycle(_windows(p.m, p.r + 1)), p.n)),
         "circulant": lambda: construct_circulant(p),
         "k2-small": lambda: BatchCode(
             p.m, islice(combinations(range(1, p.m + 1), p.r + 1), p.n)

@@ -89,17 +89,14 @@ class BatchCode:
     m: int
     columns: tuple[tuple[int, ...], ...]
 
-    def __init__(self, m: int, columns: Iterable[Iterable[int]]) -> None:
-        if m < 1:
-            raise ValueError(f"need at least one server, got m={m}")
-        norm = []
-        for col in columns:
-            c = tuple(sorted(set(col)))
-            if c and (c[0] < 1 or c[-1] > m):
-                raise ValueError(f"column {c} is not within servers 1..{m}")
-            norm.append(c)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "columns", tuple(norm))
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"need at least one server, got m={self.m}")
+        columns = tuple(tuple(sorted(set(col))) for col in self.columns)
+        for c in columns:
+            if c and (c[0] < 1 or c[-1] > self.m):
+                raise ValueError(f"column {c} is not within servers 1..{self.m}")
+        object.__setattr__(self, "columns", columns)
 
     @property
     def n(self) -> int:
@@ -281,7 +278,7 @@ def _verify_column_union(code: BatchCode, p: CodeParams) -> VerifyReport:
 
 def _verify_row_containment(code: BatchCode, p: CodeParams) -> VerifyReport:
     masks = _masks(code)
-    for d in range(p.r, min(p.r + p.k - 1, p.m) + 1):
+    for d in range(p.r, p.r + p.k):
         for rows in combinations(range(1, p.m + 1), d):
             imask = sum(1 << (s - 1) for s in rows)
             contained = tuple(

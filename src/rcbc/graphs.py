@@ -18,9 +18,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .core import BatchCode
+from .matrixio import read_records
 from .search import DEFAULT_BUDGET, BudgetExhausted, Meter, SearchBudget, SearchResult
 
 __all__ = [
@@ -43,18 +43,17 @@ class SimpleGraph:
     vertices: int
     edges: tuple[tuple[int, int], ...]  # sorted pairs, sorted lexicographically
 
-    def __init__(self, vertices: int, edges: Iterable[Iterable[int]]) -> None:
+    def __post_init__(self) -> None:
+        vertices = self.vertices
         if vertices < 1:
             raise ValueError(f"need at least one vertex, got {vertices}")
         norm = set()
-        for edge in edges:
-            u, v = edge
+        for u, v in self.edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (1 <= u <= vertices and 1 <= v <= vertices):
                 raise ValueError(f"edge ({u}, {v}) not within vertices 1..{vertices}")
             norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @property
@@ -236,19 +235,7 @@ class GraphFormatError(ValueError):
 
 def parse_graph(text: str) -> SimpleGraph:
     """Read a SimpleGraph from graph text."""
-    meaningful = [
-        (num, line.strip())
-        for num, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if not meaningful:
-        raise GraphFormatError("missing 'm e' header", line=1)
-    head_num, head = meaningful[0]
-    parts = head.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise GraphFormatError(f"header must be two integers, got {head!r}", head_num)
-    m, e = int(parts[0]), int(parts[1])
-    rows = meaningful[1:]
+    m, e, head_num, rows = read_records(text, "m e", GraphFormatError)
     if len(rows) != e:
         where = rows[e][0] if len(rows) > e else (rows[-1][0] if rows else head_num)
         raise GraphFormatError(f"expected {e} edge lines, found {len(rows)}", where)

@@ -21,26 +21,33 @@ class MatrixFormatError(ValueError):
         self.column = column
 
 
-def parse_matrix(text: str) -> BatchCode:
-    """Read a BatchCode from matrix text."""
-    meaningful = [
-        (num, line.strip())
-        for num, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
+def read_records(
+    text: str, header: str, error: type[ValueError]
+) -> tuple[int, int, int, list[tuple[int, str]]]:
+    """The two header integers, the header's line and the (line, text) records.
+
+    Blank and '#' lines are skipped.  `error(message, line)` reports a header
+    that is missing (named by `header`, such as "m n") or not two integers.
+    """
+    lines = ((num, line.strip()) for num, line in enumerate(text.splitlines(), 1))
+    meaningful = [(num, line) for num, line in lines if line and line[0] != "#"]
     if not meaningful:
-        raise MatrixFormatError("missing 'm n' header", line=1)
+        raise error(f"missing {header!r} header", 1)
     head_num, head = meaningful[0]
     parts = head.split()
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise MatrixFormatError(f"header must be two integers, got {head!r}", head_num)
-    m, n = int(parts[0]), int(parts[1])
+        raise error(f"header must be two integers, got {head!r}", head_num)
+    return int(parts[0]), int(parts[1]), head_num, meaningful[1:]
+
+
+def parse_matrix(text: str) -> BatchCode:
+    """Read a BatchCode from matrix text."""
+    m, n, head_num, rows = read_records(text, "m n", MatrixFormatError)
     if m < 1:
         raise MatrixFormatError(f"need at least one server, got m={m}", head_num)
     if n == 0:
         # Zero-width rows would be blank lines, which are skipped anyway.
         return BatchCode(m, ())
-    rows = meaningful[1:]
     if len(rows) < m:
         last = rows[-1][0] if rows else head_num
         raise MatrixFormatError(f"expected {m} rows, found {len(rows)}", last)

@@ -76,7 +76,7 @@ class SearchResult:
     value: int | None
     witness: BatchCode | None
     exact: bool
-    bound: Literal["exact", "lower", "upper"] = "exact"
+    bound: Literal["exact", "lower"] = "exact"
     nodes: int = 0
 
     @property
@@ -137,7 +137,7 @@ class _Placement:
     def __init__(self, m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> None:
         index: dict[int, int] = {}  # subset bitmask -> position in room
         self.room: list[int] = []
-        for d in range(r + 1, min(r + k - 1, m) + 1):
+        for d in range(r + 1, r + k):
             for rows in combinations(range(m), d):
                 index[sum(1 << b for b in rows)] = len(self.room)
                 self.room.append(d - r)
@@ -319,12 +319,12 @@ def uniform_packing_max(
     `limit` caps the count when the caller only needs that much.
     """
     _check_serviceability(CodeParams(0, k, m, r))
-    if not r + 1 <= cardinality <= min(r + k - 1, m):
+    if not r + 1 <= cardinality <= r + k - 1:
         # Cardinality-(r+k) columns satisfy every subset condition, so their
         # packings are unbounded; nothing to search there.
         raise ValueError(
             f"cardinality {cardinality} outside the constrained band "
-            f"[{r + 1}, {min(r + k - 1, m)}]"
+            f"[{r + 1}, {r + k - 1}]"
         )
     cols = list(combinations(range(1, m + 1), cardinality))
     state = _Placement(m, k, r, cols)

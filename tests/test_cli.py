@@ -306,6 +306,26 @@ class TestRetrieve:
         assert code == 2
         assert "need at least" in err
 
+    def test_down_outside_servers_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "tall.txt"
+        path.write_text(TALL_TEXT)
+        for down, named in [("7,8,9", "[7, 8, 9]"), ("0,-1", "[-1, 0]")]:
+            code, out, err = run(
+                capsys,
+                "retrieve",
+                "--params",
+                "4,3,6,3",
+                "--demand",
+                "1,4",
+                "--down",
+                down,
+                str(path),
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+            assert named in err
+
 
 class TestOptimal:
     def test_exact_result(self, capsys):

@@ -233,6 +233,15 @@ class TestConstructFromDesign:
         with pytest.raises(ValueError, match="size"):
             construct_from_design(design, CodeParams(5, 3, 5, 1))
 
+    def test_strength_and_coverage_mismatches_rejected(self):
+        # (n, 3, 5, 0) needs blocks of size 4, strength 3 and coverage 2.
+        wrong_strength = PackingDesign(5, 4, 2, 2, [(1, 2, 3, 4)])
+        with pytest.raises(ValueError, match="design strength 2, expected 3"):
+            construct_from_design(wrong_strength, CodeParams(1, 3, 5, 0))
+        wrong_coverage = PackingDesign(5, 4, 3, 1, [(1, 2, 3, 4)])
+        with pytest.raises(ValueError, match="coverage bound 1, expected 2"):
+            construct_from_design(wrong_coverage, CodeParams(1, 3, 5, 0))
+
     def test_coverage_violation_rejected(self):
         blocks = [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6)]
         design = PackingDesign(6, 4, 3, 2, blocks)

@@ -89,6 +89,10 @@ class TestBatchCode:
         with pytest.raises(ValueError, match="not within"):
             BatchCode(3, [(0, 1)])
 
+    def test_rejects_no_servers(self):
+        with pytest.raises(ValueError, match="need at least one server"):
+            BatchCode(0, [])
+
     def test_column_accessor_is_one_based(self):
         code = tall_code()
         assert code.column(1) == (1, 2, 3, 4)
@@ -187,6 +191,10 @@ class TestVerify:
         report = verify(tall_code(), TALL_PARAMS)
         assert report.strategy in ("column-union", "row-containment")
 
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            verify(tall_code(), TALL_PARAMS, "bogus")
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="parameters say"):
             verify(tall_code(), CodeParams(5, 3, 6, 3))
@@ -269,6 +277,11 @@ class TestMoveOnes:
         code = BatchCode(3, [(1,), (1, 2)])
         out = move_ones(code, 1, 2, {2})
         assert out.columns == ((1, 2), (1,))
+
+    def test_requires_distinct_columns(self):
+        code = BatchCode(3, [(1,), (1, 2)])
+        with pytest.raises(ValueError, match="must differ"):
+            move_ones(code, 1, 1, {2})
 
     def test_requires_proper_subset(self):
         code = BatchCode(3, [(1, 3), (1, 2)])

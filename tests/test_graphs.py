@@ -141,6 +141,12 @@ class TestMaxEdges:
         assert max_edges_with_girth(5, 5).value == 5
         assert max_edges_with_girth(6, 4).value == 9
 
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            max_edges_with_girth(0, 4)
+        with pytest.raises(ValueError, match="at least 3"):
+            max_edges_with_girth(5, 2)
+
     def test_extremal_values_up_to_ten_vertices(self):
         # Mantel: triangle-free graphs have at most floor(m^2/4) edges.
         # OEIS A006855: most edges with no 3- or 4-cycle.
@@ -253,6 +259,11 @@ class TestGraphText:
         with pytest.raises(GraphFormatError) as info:
             parse_graph("3 2\n1 4\n2 3\n")
         assert info.value.line == 2
+
+    def test_non_integer_edge_line_carries_line_number(self):
+        with pytest.raises(GraphFormatError, match="two integers") as info:
+            parse_graph("3 2\n1 2\n# note\n2 x\n")
+        assert info.value.line == 4
 
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphFormatError):
