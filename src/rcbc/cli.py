@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -208,19 +209,17 @@ def _table_row(budget: SearchBudget, p: CodeParams) -> tuple[str, bool]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    params = []
-    for n in _parse_range(args.n):
-        for k in _parse_range(args.k):
-            for m in _parse_range(args.m):
-                for r in _parse_range(args.r):
-                    try:
-                        p = CodeParams(n, k, m, r)
-                    except ValueError:
-                        continue
-                    if p.is_valid:
-                        params.append(p)
-    print("n,k,m,r,regime,predicted,oracle,exact")
+    ranges = [_parse_range(text) for text in (args.n, args.k, args.m, args.r)]
     row = functools.partial(_table_row, _budget(args))
+    params = []
+    for n, k, m, r in itertools.product(*ranges):
+        try:
+            p = CodeParams(n, k, m, r)
+        except ValueError:
+            continue
+        if p.is_valid:
+            params.append(p)
+    print("n,k,m,r,regime,predicted,oracle,exact")
     if args.jobs > 1:
         from multiprocessing import Pool
 

@@ -20,8 +20,19 @@ unblocked candidates, and skips the subtree when the bound cannot beat the
 best code.  A skipped subtree counts no nodes, so its exact runs visit a
 subsequence of the nodes of the scan without the bound, in the same order.
 
-Row relabeling symmetry is broken at the first column only: the least column
-of an optimal multiset can always be relabeled to a prefix {1, ..., c}.
+Server relabelling symmetry is broken at every level.  The placed columns
+split the servers into cells, two servers sharing a cell when every placed
+column holds both or neither, and the next column must hold the
+lowest-numbered servers of each cell (at the first column, a prefix
+{1, ..., c}).  Other candidates are skipped and are not nodes.  Relabelling
+inside the cells keeps the placed columns, unions of cells, and can move a
+candidate to its cell-prefix set, the least of its images.  So if the first
+code in candidate order of a set closed under relabelling broke the rule at
+some column, relabelling that column would give an earlier code.  Each code
+a search records as best is such a first (the first code, then the first one
+better than the last recorded), so an uncapped run records the same codes,
+prunes alike, and returns the same value and witness in a subsequence of the
+nodes of the search without the rule.
 """
 
 from __future__ import annotations
@@ -174,6 +185,37 @@ class _Placement:
             room[i] += 1
 
 
+class _Cells:
+    """Server cells for the canonical rule of the module docstring.
+
+    A cell-prefix column splits a run of consecutive servers into two runs,
+    so every cell is a run, and a partition is the bitmask `joined` of the
+    servers s (from 0) in one cell with s+1; 0 means single servers.  The
+    candidates that are not cell-prefix hold some s+1 but not s: holds[s]
+    has bit j set when candidate j holds server s.
+    """
+
+    def __init__(self, m: int, columns: list[tuple[int, ...]]) -> None:
+        self.masks = [sum(1 << (s - 1) for s in col) for col in columns]
+        self.holds = [
+            sum(1 << j for j, mask in enumerate(self.masks) if mask >> s & 1)
+            for s in range(m)
+        ]
+        self.root = (1 << (m - 1)) - 1
+
+    def skip(self, joined: int) -> int:
+        """Bitmask of the candidates that are not cell-prefix."""
+        skip = 0
+        for s, (held, after) in enumerate(zip(self.holds, self.holds[1:])):
+            if joined >> s & 1:
+                skip |= after & ~held
+        return skip
+
+    def refine(self, joined: int, j: int) -> int:
+        """Split the cells by the servers of candidate j."""
+        return joined & ~(self.masks[j] ^ self.masks[j] >> 1)
+
+
 def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> SearchResult:
     """Minimum total weight of any code for p, by branch and bound.
 
@@ -195,13 +237,13 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
       of room saves at most one.
 
     A candidate whose bound reaches the best weight is removed again without
-    a descent.  Its subtree holds no better code and counts no nodes, so an
-    uncapped run finds the optimum and witness of the scan without the
-    bound, in a subsequence of its nodes.  A run cut short by the budget
-    reports the bound at the empty placement as `lower`.  That bound is at
-    least the floor (r+1)n, since no copy saves more than k-1, and once
-    n >= (k-1) C(m, r+k-1) it equals the large-n weight
-    n(r+k) - (k-1) C(m, r+k-1).
+    a descent.  Its subtree holds no better code and counts no nodes.  So an
+    uncapped run finds the optimum and witness of the scan without the bound
+    and without the canonical rule of the module docstring, in a subsequence
+    of its nodes.  A run cut short by the budget reports the bound at the
+    empty placement as `lower`.  That bound is at least the floor (r+1)n,
+    since no copy saves more than k-1, and once n >= (k-1) C(m, r+k-1) it
+    equals the large-n weight n(r+k) - (k-1) C(m, r+k-1).
     """
     validate_params(p)
     n, k, m, r = p.n, p.k, p.m, p.r
@@ -242,17 +284,16 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     # Cardinalities are nondecreasing: first_wider[c] is the index of the
     # first candidate of cardinality >= c, where pruning starts.
     first_wider = [bisect_left(cards, c) for c in range(best_weight + 1)]
-    # Symmetry: the first column is a prefix set, the first of its cardinality.
-    prefixes = [j for j, col in enumerate(cols) if col[-1] == len(col)]
     state = _Placement(m, k, r, cols)
     place, remove = state.place, state.remove
+    symmetry = _Cells(m, cols)
     meter = Meter(budget or DEFAULT_BUDGET)
     nodes = 0
     check_at = meter.check_at
     best: list[int] | None = None
     chosen: list[int] = []
 
-    def branch(j: int, blocked: int, slots: int, acc: int, room: int) -> None:
+    def branch(j: int, blocked: int, slots: int, acc: int, room: int, cells) -> None:
         """Place candidate j, which fits, and descend unless the bound
         rules out every code that completes it."""
         child = place(j, blocked)
@@ -260,42 +301,41 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
         room -= uses[j]
         if weight_floor(j, child, slots, acc, room) < best_weight:
             chosen.append(j)
-            descend(j, child, slots, acc, room)
+            descend(j, child, slots, acc, room, cells and symmetry.refine(cells, j))
             chosen.pop()
         remove(j)
 
-    def descend(j: int, blocked: int, slots: int, acc: int, room: int) -> None:
-        """Fill `slots` more slots from candidates j, j+1, ... not blocked."""
+    def descend(j: int, blocked: int, slots: int, acc: int, room: int, cells) -> None:
+        """Fill `slots` more from canonical candidates j, j+1, ... not blocked."""
         nonlocal best_weight, best, nodes, check_at
         if slots == 0:
             if acc < best_weight:
                 best_weight = acc
                 best = chosen.copy()
             return
+        skipped = symmetry.skip(cells) if cells else 0
+        free = blocked | skipped if skipped else blocked
         while True:
             # Columns of cardinality >= ceil((best_weight - acc) / slots)
             # cannot beat the best code.
             stop = first_wider[(best_weight - acc + slots - 1) // slots]
             if j >= stop:
                 return
-            x = blocked >> j
-            fit = j + (x ^ (x + 1)).bit_length() - 1  # next candidate that fits
-            nodes += (fit + 1 if fit < stop else stop) - j
+            x = free >> j
+            fit = j + (x ^ (x + 1)).bit_length() - 1  # next candidate to place
+            end = fit + 1 if fit < stop else stop
+            nodes += end - j
+            if skipped:  # candidates that are not canonical are not nodes
+                nodes -= (skipped >> j & ~(-1 << end - j)).bit_count()
             if nodes >= check_at:
                 check_at = meter.add(nodes - meter.nodes)
             if fit >= stop:
                 return
-            branch(fit, blocked, slots - 1, acc, room)
+            branch(fit, blocked, slots - 1, acc, room, cells)
             j = fit + 1
 
     try:
-        for j in prefixes:
-            if cards[j] * n >= best_weight:
-                break  # later prefixes only get wider
-            nodes += 1
-            if nodes >= check_at:
-                check_at = meter.add(nodes - meter.nodes)
-            branch(j, 0, n - 1, 0, room0)
+        descend(0, 0, n, 0, room0, symmetry.root)
     except BudgetExhausted:
         witness = BatchCode(m, [cols[j] for j in best]) if best is not None else None
         return SearchResult(root_floor, witness, False, "lower", meter.nodes)
@@ -316,7 +356,8 @@ def uniform_packing_max(
 
     Searches multisets of cardinality-`cardinality` columns under the same
     containment counters as exact_min_weight, maximizing the column count.
-    `limit` caps the count when the caller only needs that much.
+    `limit` caps the count when the caller only needs that much.  Uncapped
+    runs return the witness of the scan without the canonical rule.
     """
     _check_serviceability(CodeParams(0, k, m, r))
     if not r + 1 <= cardinality <= r + k - 1:
@@ -329,6 +370,7 @@ def uniform_packing_max(
     cols = list(combinations(range(1, m + 1), cardinality))
     state = _Placement(m, k, r, cols)
     place, remove = state.place, state.remove
+    symmetry = _Cells(m, cols)
     # A column alone fits at most cardinality - r copies (the room of its own
     # support), so candidates j, j+1, ... add at most (len(cols) - j) times
     # that.  first_at_most[v] is the first j where that is <= v, where
@@ -343,8 +385,8 @@ def uniform_packing_max(
     chosen: list[int] = []
     cap_count = limit if limit is not None else math.inf
 
-    def descend(j: int, blocked: int) -> None:
-        """Extend `chosen` by candidates j, j+1, ... not blocked."""
+    def descend(j: int, blocked: int, cells) -> None:
+        """Extend `chosen` by canonical candidates j, j+1, ... not blocked."""
         nonlocal best, best_cols, nodes, check_at
         depth = len(chosen)
         if depth > best:
@@ -352,32 +394,31 @@ def uniform_packing_max(
             best_cols = chosen.copy()
         if depth >= cap_count:
             return
+        skipped = symmetry.skip(cells) if cells else 0
+        free = blocked | skipped if skipped else blocked
         while True:
             stop = first_at_most[best - depth]
             if j >= stop:
                 return
-            x = blocked >> j
-            fit = j + (x ^ (x + 1)).bit_length() - 1  # next candidate that fits
-            nodes += (fit + 1 if fit < stop else stop) - j
+            x = free >> j
+            fit = j + (x ^ (x + 1)).bit_length() - 1  # next candidate to place
+            end = fit + 1 if fit < stop else stop
+            nodes += end - j
+            if skipped:  # candidates that are not canonical are not nodes
+                nodes -= (skipped >> j & ~(-1 << end - j)).bit_count()
             if nodes >= check_at:
                 check_at = meter.add(nodes - meter.nodes)
             if fit >= stop:
                 return
             chosen.append(fit)
-            descend(fit, place(fit, blocked))
+            descend(fit, place(fit, blocked), cells and symmetry.refine(cells, fit))
             chosen.pop()
             remove(fit)
             j = fit + 1
 
     exact = True
     try:
-        if cap_count > 0:
-            # Symmetry: the first column is the prefix set, the only
-            # candidate tried at the root.
-            nodes = 1
-            check_at = meter.add(1)
-            chosen.append(0)
-            descend(0, place(0, 0))
+        descend(0, 0, symmetry.root)
     except BudgetExhausted:
         exact = False
         nodes = meter.nodes

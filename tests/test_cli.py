@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rcbc
 from rcbc import parse_graph, parse_matrix, verify, weight, girth, graph_from_code
 from rcbc import CodeParams
@@ -384,6 +386,20 @@ class TestTable:
         )
         assert code == 0
         assert out.strip() == "n,k,m,r,regime,predicted,oracle,exact"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # An empty --n range used to leave the malformed --k unparsed.
+            ("--n", "5:1", "--k", "x", "--m", "4", "--r", "1"),
+            ("--n", "3", "--k", "1", "--m", "4", "--r", "1", "--node-limit", "0"),
+        ],
+    )
+    def test_bad_flags_print_nothing(self, capsys, argv):
+        code, out, err = run(capsys, "table", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_k0_tuples_skipped(self, capsys):
         code, out, _ = run(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -14,14 +15,16 @@ from rcbc import (
     ParameterError,
     SearchBudget,
     SearchResult,
+    cross_check,
     exact_min_weight,
     gap_base_max,
+    predicted_weight,
     trivial_weight_max,
     uniform_packing_max,
     verify,
     weight,
 )
-from rcbc.search import BudgetExhausted, Meter
+from rcbc.search import BudgetExhausted, Meter, _Cells
 from helpers import (
     brute_min_weight,
     reference_exact_min_weight,
@@ -30,6 +33,11 @@ from helpers import (
 )
 
 NODE_CAPS = (1, 37, 20_000)
+
+
+@functools.cache
+def packing_optimum(k, m, r, card, limit):
+    return uniform_packing_max(k, m, r, card, limit).value
 
 
 def outcome(result):
@@ -93,12 +101,48 @@ class TestMeter:
             assert ticks[0] is not None  # the time check did run
 
 
+class TestCanonicalRule:
+    """A partition is the bitmask of the servers s (from 0) in one cell with
+    s + 1."""
+
+    @staticmethod
+    def canonical(m, joined):
+        servers = range(1, m + 1)
+        cols = [c for card in servers for c in itertools.combinations(servers, card)]
+        skip = _Cells(m, cols).skip(joined)
+        return [col for j, col in enumerate(cols) if not skip >> j & 1]
+
+    def test_one_cell_allows_only_prefix_sets(self):
+        for m in range(1, 8):
+            prefixes = [tuple(range(1, c + 1)) for c in range(1, m + 1)]
+            assert self.canonical(m, _Cells(m, []).root) == prefixes, m
+
+    def test_each_cell_takes_its_lowest_servers(self):
+        # Cells {1, 2, 3} and {4, 5}.
+        assert self.canonical(5, 0b1011) == [
+            (1,), (4,), (1, 2), (1, 4), (4, 5), (1, 2, 3), (1, 2, 4), (1, 4, 5),
+            (1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 3, 4, 5),
+        ]
+
+    def test_refine_splits_cells_until_single_servers(self):
+        cols = list(itertools.combinations(range(1, 5), 2))
+        cells = _Cells(4, cols)
+        assert cells.root == 0b111
+        assert cells.refine(cells.root, 0) == 0b101  # by {1, 2}: {1, 2}, {3, 4}
+        assert cells.refine(0b101, 5) == 0b101  # by {3, 4}
+        assert cells.refine(0b101, 1) == 0  # by {1, 3}: single servers
+        assert _Cells(1, [(1,)]).root == 0
+
+
 class TestAgainstReferenceLoop:
-    """Results, witnesses and node counts equal those of the per-candidate
-    loop in helpers, including runs cut short by the node limit."""
+    """Results and witnesses against the per-candidate loops in helpers,
+    which have neither the weight bound nor the canonical rule, including
+    runs cut short by the node limit."""
 
     @pytest.mark.parametrize("node_limit", NODE_CAPS)
     def test_uniform_packing_max(self, node_limit):
+        # The canonical rule only skips candidates, so an exact run finds the
+        # reference's count and witness in no more nodes.
         budget = SearchBudget(node_limit=node_limit)
         for m in range(1, 7):
             for r in range(m):
@@ -108,7 +152,19 @@ class TestAgainstReferenceLoop:
                             args = (k, m, r, card, limit)
                             got = uniform_packing_max(*args, budget=budget)
                             want = reference_uniform_packing_max(*args, budget)
-                            assert outcome(got) == outcome(want), args
+                            assert got.nodes <= want.nodes, args
+                            if want.exact:
+                                assert outcome(got)[:3] == outcome(want)[:3], args
+                                assert got.witness.columns == want.witness.columns, args
+                                continue
+                            if not got.exact:
+                                assert got.bound == "lower", args
+                            code = got.witness
+                            assert code.n == got.value, args
+                            assert all(len(col) == card for col in code.columns), args
+                            if code.n:
+                                assert verify(code, CodeParams(code.n, k, m, r)).ok, args
+                            assert got.value <= packing_optimum(*args), args
 
     @pytest.mark.parametrize("node_limit", NODE_CAPS)
     def test_exact_min_weight(self, node_limit):
@@ -207,6 +263,31 @@ class TestExactMinWeight:
         result = exact_min_weight(CodeParams(20, 3, 5, 1), SearchBudget(node_limit=1))
         assert (result.value, result.exact, result.bound) == (60, False, "lower")
 
+    def test_proves_12_5_6_0(self):
+        # The one tuple with m <= 6, n <= 12 that needs the cells at 1M nodes.
+        p = CodeParams(12, 5, 6, 0)
+        result = exact_min_weight(p, SearchBudget(node_limit=1_000_000))
+        assert (result.value, result.exact) == (28, True)
+        assert weight(result.witness) == 28
+        assert cross_check(result.witness, p).ok
+
+    def test_proves_every_small_tuple_and_matches_the_formulas(self):
+        # Regression gate: every valid tuple with m <= 6, n <= 12 is proven
+        # within 1M nodes, and equals every closed form that covers it.
+        budget = SearchBudget(node_limit=1_000_000)
+        covered = 0
+        for m in range(1, 7):
+            for n in range(1, 13):
+                for k, r in valid_kr_pairs(m, n):
+                    p = CodeParams(n, k, m, r)
+                    result = exact_min_weight(p, budget)
+                    assert result.exact, p
+                    prediction = predicted_weight(p)
+                    if prediction.known:
+                        covered += 1
+                        assert prediction.value == result.value, p
+        assert covered == 569
+
     def test_optimum_profile_mixes_cardinalities(self):
         # At n=8, k=2, m=4, r=1 all six server pairs are used once and the
         # remaining two columns must be triples: 6*2 + 2*3 = 18.
@@ -286,6 +367,11 @@ class TestGapBaseMax:
             result = gap_base_max(k, m, r)
             assert result.value * (r + k - 1) <= (k - 1) * math.comb(m, r + k - 2)
 
+    def test_proves_4_8_0(self):
+        result = gap_base_max(4, 8, 0, SearchBudget(node_limit=2_000_000))
+        assert (result.value, result.exact) == (28, True)
+        assert verify(result.witness, CodeParams(28, 4, 8, 0)).ok
+
     def test_parameter_guards(self):
         with pytest.raises(ValueError, match="k >= 3"):
             gap_base_max(2, 5, 1)
@@ -296,14 +382,15 @@ class TestGapBaseMax:
 class TestPinnedSearches:
     """Exact (value, exact, nodes) of fixed instances.  The gap_base_max pins
     were taken from the dict-counter kernel the placement state replaced,
-    the exact_min_weight pins from the search with the weight bound.  Node
-    counts include runs cut short by the budget, so any change to the
+    the exact_min_weight pins from the search with the weight bound; the
+    node counts of exact runs were taken again with the canonical rule.
+    Node counts include runs cut short by the budget, so any change to the
     order, the pruning or the node counting shows here."""
 
     @pytest.mark.parametrize(
         "args, node_limit, expected",
         [
-            ((3, 8, 1), None, (16, True, 89_288)),
+            ((3, 8, 1), None, (16, True, 2_641)),
             ((4, 10, 2), 300_000, (73, False, 300_000)),
             ((4, 8, 1), 100_000, (29, False, 100_000)),
         ],
@@ -355,14 +442,14 @@ class TestPinnedSearches:
         result = exact_min_weight(CodeParams(10, 3, 6, 1), SearchBudget(node_limit=node_limit))
         # Cut short at 50 nodes, the search reports the bound at the empty
         # placement, here the floor (r+1)n; within 5,000 it proves the
-        # optimum, at 424 nodes.
-        expected = {50: (20, False, 50), 5_000: (21, True, 424)}[node_limit]
+        # optimum, at 138 nodes.
+        expected = {50: (20, False, 50), 5_000: (21, True, 138)}[node_limit]
         assert (result.value, result.exact, result.nodes) == expected
         assert result.witness.columns == columns
 
     def test_exact_min_weight(self):
         result = exact_min_weight(CodeParams(20, 3, 5, 1))
-        assert (result.value, result.exact, result.nodes) == (60, True, 326)
+        assert (result.value, result.exact, result.nodes) == (60, True, 295)
         # Two copies of every 3-subset of the 5 servers.
         assert result.witness.columns == tuple(
             col for col in itertools.combinations(range(1, 6), 3) for _ in range(2)
