@@ -151,7 +151,8 @@ def max_edges_with_girth(
     all_edges = list(combinations(range(1, m + 1), 2))
     steps = range(girth_min - 2)
     meter = Meter(budget)
-    tick = meter.tick
+    nodes = 0
+    check_at = meter.check_at
     adj = [0] * (m + 1)  # neighbour bitmask of each vertex
     cap = m - 1  # degree of vertex 1, which no other vertex may exceed
     chosen: list[tuple[int, int]] = []
@@ -160,7 +161,7 @@ def max_edges_with_girth(
 
     def descend(idx: int) -> None:
         """Search edges idx, idx+1, ...: including recurses, excluding loops."""
-        nonlocal best, best_edges
+        nonlocal best, best_edges, nodes, check_at
         depth = len(chosen)
         if depth > best:
             best = depth
@@ -168,7 +169,9 @@ def max_edges_with_girth(
         while idx < len(all_edges) + depth - best:
             u, v = all_edges[idx]
             idx += 1
-            tick()
+            nodes += 1
+            if nodes >= check_at:
+                check_at = meter.add(nodes - meter.nodes)
             if adj[u].bit_count() == cap or adj[v].bit_count() == cap:
                 continue
             # Frontier BFS from u over bitmasks: v must not be reached
@@ -206,7 +209,9 @@ def max_edges_with_girth(
         # the edges between vertices 2..m (from index m-1) are searched
         # under that cap.
         while m * cap // 2 > best:
-            tick()
+            nodes += 1
+            if nodes >= check_at:
+                check_at = meter.add(nodes - meter.nodes)
             descend(m - 1)
             v = cap + 1
             adj[1] ^= 1 << v
@@ -215,10 +220,9 @@ def max_edges_with_girth(
             cap -= 1
     except BudgetExhausted:
         exact = False
+        nodes = meter.nodes
     witness = code_from_graph(SimpleGraph(m, best_edges))
-    return SearchResult(
-        best, witness, exact, "exact" if exact else "lower", meter.nodes
-    )
+    return SearchResult(best, witness, exact, "exact" if exact else "lower", nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +247,7 @@ def parse_graph(text: str) -> SimpleGraph:
     seen: set[tuple[int, int]] = set()
     for num, row in rows:
         fields = row.split()
-        if len(fields) != 2 or not all(f.isdigit() for f in fields):
+        if len(fields) != 2 or not all(f.isdecimal() for f in fields):
             raise GraphFormatError(f"edge line must be two integers, got {row!r}", num)
         u, v = int(fields[0]), int(fields[1])
         if u == v:

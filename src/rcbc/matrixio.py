@@ -35,7 +35,7 @@ def read_records(
         raise error(f"missing {header!r} header", 1)
     head_num, head = meaningful[0]
     parts = head.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise error(f"header must be two integers, got {head!r}", head_num)
     return int(parts[0]), int(parts[1]), head_num, meaningful[1:]
 
@@ -46,7 +46,11 @@ def parse_matrix(text: str) -> BatchCode:
     if m < 1:
         raise MatrixFormatError(f"need at least one server, got m={m}", head_num)
     if n == 0:
-        # Zero-width rows would be blank lines, which are skipped anyway.
+        # Zero-width rows would be blank lines, which are skipped, so any
+        # row left is too long.
+        if rows:
+            num, row = rows[0]
+            raise MatrixFormatError(f"row has {len(row)} characters, expected 0", num)
         return BatchCode(m, ())
     if len(rows) < m:
         last = rows[-1][0] if rows else head_num

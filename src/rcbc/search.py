@@ -11,8 +11,9 @@ The depth-first searches carry a bitmask of the candidates that no longer
 fit (some subset they touch is full) and jump straight to the next one that
 does.  Pruning is a precomputed candidate index past which no extension can
 beat the best found.  A node is one candidate considered, whether it fits or
-not: the unfit candidates jumped over are counted in bulk, and the budget
-stops a search at the same node as if each had been counted on its own.
+not.  Each search keeps a running count and hands it to Meter.add at
+checkpoints, so the unfit candidates jumped over are counted in bulk and the
+budget stops a search at the same node as a one-by-one count.
 
 exact_min_weight also bounds the weight of every code completing a placed
 candidate, by counting the room left in the (r+k-1)-subsets and the
@@ -59,15 +60,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node and wall-clock caps for a search; both must be positive."""
+    """Node and wall-clock caps for a search; positive, with inf for no cap."""
 
     node_limit: int = 20_000_000
     time_limit: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.node_limit <= 0:
+        if not self.node_limit > 0:
             raise ValueError(f"node_limit must be positive, got {self.node_limit}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
 
 
@@ -105,10 +106,10 @@ class Meter:
     A node is one candidate considered, whether it fits or not.  Checkpoints
     fall at every multiple of 4096 nodes and at the node limit; at each one
     BudgetExhausted is raised if the node limit is reached or the time limit
-    has passed.  tick() counts one node.  add(count) counts `count` nodes at
-    once and stops at exactly the node where `count` ticks would.  It
-    returns the next checkpoint, so a search can keep its own running count
-    and call add() only when that count reaches it.
+    has passed.  add(count) counts `count` nodes and stops at exactly the
+    checkpoint where counting them one by one would.  It returns the next
+    checkpoint, so a search keeps its own running count and calls add() only
+    when that count reaches it; once stopped, `nodes` is where it stopped.
     """
 
     def __init__(self, budget: SearchBudget) -> None:
@@ -116,13 +117,6 @@ class Meter:
         self.limit = budget.node_limit
         self.deadline = time.monotonic() + budget.time_limit
         self.check_at = min(self.limit, 4096)
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes >= self.check_at:
-            if self.nodes >= self.limit or time.monotonic() > self.deadline:
-                raise BudgetExhausted
-            self.check_at = min(self.limit, self.nodes + 4096)
 
     def add(self, count: int) -> int:
         nodes = self.nodes + count
@@ -293,18 +287,6 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     best: list[int] | None = None
     chosen: list[int] = []
 
-    def branch(j: int, blocked: int, slots: int, acc: int, room: int, cells) -> None:
-        """Place candidate j, which fits, and descend unless the bound
-        rules out every code that completes it."""
-        child = place(j, blocked)
-        acc += cards[j]
-        room -= uses[j]
-        if weight_floor(j, child, slots, acc, room) < best_weight:
-            chosen.append(j)
-            descend(j, child, slots, acc, room, cells and symmetry.refine(cells, j))
-            chosen.pop()
-        remove(j)
-
     def descend(j: int, blocked: int, slots: int, acc: int, room: int, cells) -> None:
         """Fill `slots` more from canonical candidates j, j+1, ... not blocked."""
         nonlocal best_weight, best, nodes, check_at
@@ -331,7 +313,15 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
                 check_at = meter.add(nodes - meter.nodes)
             if fit >= stop:
                 return
-            branch(fit, blocked, slots - 1, acc, room, cells)
+            # Place, then descend unless the bound rules out every completion.
+            child = place(fit, blocked)
+            acc_fit, room_fit = acc + cards[fit], room - uses[fit]
+            if weight_floor(fit, child, slots - 1, acc_fit, room_fit) < best_weight:
+                chosen.append(fit)
+                cells_fit = cells and symmetry.refine(cells, fit)
+                descend(fit, child, slots - 1, acc_fit, room_fit, cells_fit)
+                chosen.pop()
+            remove(fit)
             j = fit + 1
 
     try:
@@ -438,8 +428,6 @@ def gap_base_max(
     """
     if k < 3:
         raise ValueError(f"base packings need k >= 3, got k={k}")
-    if m < r + k:
-        raise ValueError(f"need m >= r+k, got m={m}, r+k={r + k}")
     result = uniform_packing_max(k, m, r, r + k - 2, budget=budget)
     assert result.value is not None
     bound_lhs = result.value * (r + k - 1)

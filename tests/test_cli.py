@@ -347,6 +347,13 @@ class TestOptimal:
         assert "# exact: no" in out
         assert "# weight-lower-bound: 20" in out
 
+    def test_nan_time_limit_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "optimal", "--params", "10,3,6,1", "--time-limit", "nan"
+        )
+        assert code == 2 and out == ""
+        assert "time_limit must be positive, got nan" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "opt.txt"
         code, out, _ = run(

@@ -188,6 +188,17 @@ class TestMaxEdges:
             (1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 6), (5, 7),
         )
 
+    @pytest.mark.parametrize("node_limit", [4_095, 4_096, 4_097])
+    def test_stop_points(self, node_limit):
+        # A capped run stops at exactly its node limit, on both sides of the
+        # first checkpoint at 4096 nodes.
+        result = max_edges_with_girth(10, 5, SearchBudget(node_limit=node_limit))
+        assert (result.value, result.exact, result.nodes) == (12, False, node_limit)
+        assert result.witness.columns == (
+            (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 7), (2, 8), (3, 9),
+            (4, 10), (7, 9), (8, 10), (9, 10),
+        )
+
     @pytest.mark.parametrize("node_limit", [1, 37, 20_000])
     def test_matches_reference_loop(self, node_limit):
         # Where the two-call include/exclude search in helpers (no symmetry
@@ -264,6 +275,12 @@ class TestGraphText:
         with pytest.raises(GraphFormatError, match="two integers") as info:
             parse_graph("3 2\n1 2\n# note\n2 x\n")
         assert info.value.line == 4
+
+    def test_edge_line_needs_decimal_digits(self):
+        # "²" is a digit to str.isdigit but not a decimal int() accepts.
+        with pytest.raises(GraphFormatError, match="two integers") as info:
+            parse_graph("3 1\n1 ²\n")
+        assert info.value.line == 2
 
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphFormatError):

@@ -33,6 +33,17 @@ class TestParse:
         assert code.m == 3
         assert code.columns == ()
 
+    def test_zero_columns_rejects_rows(self):
+        with pytest.raises(MatrixFormatError, match="3 characters, expected 0") as info:
+            parse_matrix("3 0\n101\n110\n")
+        assert info.value.line == 2
+
+    def test_header_needs_decimal_digits(self):
+        # "²" is a digit to str.isdigit but not a decimal int() accepts.
+        with pytest.raises(MatrixFormatError, match="two integers") as info:
+            parse_matrix("² 2\n")
+        assert info.value.line == 1
+
     def test_empty_input(self):
         with pytest.raises(MatrixFormatError, match="header"):
             parse_matrix("")

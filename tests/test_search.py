@@ -26,6 +26,8 @@ from rcbc import (
 )
 from rcbc.search import BudgetExhausted, Meter, _Cells
 from helpers import (
+    _RefExhausted,
+    _RefMeter,
     brute_min_weight,
     reference_exact_min_weight,
     reference_uniform_packing_max,
@@ -52,6 +54,18 @@ class TestBudget:
         with pytest.raises(ValueError):
             SearchBudget(time_limit=0.0)
 
+    @pytest.mark.parametrize("field", ["node_limit", "time_limit"])
+    def test_rejects_nan_limits(self, field):
+        # NaN passes a `<= 0` test, which would switch the cap off.
+        with pytest.raises(ValueError, match=f"{field} must be positive, got nan"):
+            SearchBudget(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["node_limit", "time_limit"])
+    def test_infinite_limit_means_no_cap(self, field):
+        budget = SearchBudget(**{field: math.inf})
+        result = exact_min_weight(CodeParams(20, 3, 5, 1), budget)
+        assert (result.value, result.exact) == (60, True)
+
     def test_unbounded_flag(self):
         assert SearchResult(None, None, True).unbounded
         assert not SearchResult(3, None, True).unbounded
@@ -59,25 +73,7 @@ class TestBudget:
 
 
 class TestMeter:
-    """add(count) must stop where `count` calls to tick() stop."""
-
-    @staticmethod
-    def stop_point(limit, start, count, expired, bulk):
-        """(nodes, None) if the meter raised at `nodes`, else (None, (nodes,
-        next checkpoint))."""
-        meter = Meter(SearchBudget(node_limit=limit))
-        meter.add(start)
-        if expired:
-            meter.deadline = time.monotonic() - 1.0
-        try:
-            if bulk:
-                meter.add(count)
-            else:
-                for _ in range(count):
-                    meter.tick()
-        except BudgetExhausted:
-            return meter.nodes, None
-        return None, (meter.nodes, meter.check_at)
+    """add(count) must stop where `count` one-by-one reference ticks stop."""
 
     @pytest.mark.parametrize("expired", [False, True])
     @pytest.mark.parametrize(
@@ -94,11 +90,29 @@ class TestMeter:
         ],
     )
     def test_add_matches_ticks(self, limit, start, count, expired):
-        ticks = self.stop_point(limit, start, count, expired, bulk=False)
-        bulk = self.stop_point(limit, start, count, expired, bulk=True)
-        assert bulk == ticks
+        budget = SearchBudget(node_limit=limit)
+        meter, ref = Meter(budget), _RefMeter(budget)
+        meter.add(start)
+        for _ in range(start):
+            ref.tick()
+        if expired:
+            meter.deadline = ref.deadline = time.monotonic() - 1.0
+        stop = ref_stop = None
+        try:
+            meter.add(count)
+        except BudgetExhausted:
+            stop = meter.nodes
+        try:
+            for _ in range(count):
+                ref.tick()
+        except _RefExhausted:
+            ref_stop = ref.nodes
+        assert stop == ref_stop
+        if stop is None:
+            assert meter.nodes == ref.nodes == start + count
+            assert meter.check_at == min(limit, 4_096 * (meter.nodes // 4_096 + 1))
         if expired and start + count >= 4_096 * (start // 4_096 + 1):
-            assert ticks[0] is not None  # the time check did run
+            assert stop is not None  # the time check did run
 
 
 class TestCanonicalRule:
