@@ -316,6 +316,9 @@ _base_cache: dict[tuple, search.SearchResult] = {}
 
 
 def _gap_base(k: int, m: int, r: int, budget) -> search.SearchResult:
+    if r == 0:  # every (k-2)-subset once: this meets the counting bound
+        code = BatchCode(m, combinations(range(1, m + 1), k - 2))
+        return search.SearchResult(math.comb(m, k - 2), code, True)
     budget = budget or search.DEFAULT_BUDGET
     hit = _base_cache.get((k, m, r)) or _base_cache.get((k, m, r, budget))
     if hit is None:

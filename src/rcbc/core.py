@@ -228,7 +228,8 @@ def _check_serviceability(p: CodeParams) -> None:
 
 
 def _masks(code: BatchCode) -> list[int]:
-    return [sum(1 << (s - 1) for s in col) for col in code.columns]
+    bit = [0, *(1 << s for s in range(code.m))].__getitem__  # server s -> bit s-1
+    return [sum(map(bit, col)) for col in code.columns]
 
 
 def verify(code: BatchCode, p: CodeParams, strategy: Strategy = "auto") -> VerifyReport:

@@ -4,6 +4,9 @@ A plan exists exactly when the demanded columns, restricted to the available
 servers, satisfy Hall's condition.  Feasibility of every maximal demand under
 every maximal outage is what makes a placement a code, so the exhaustive
 check here doubles as the definitional verification strategy.
+
+Matching walks augmenting paths over server bitmasks, files and then servers
+in ascending order, so equal inputs give the same plan and Hall set.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .core import (
     ServiceWitness,
     _check_dimensions,
     _check_serviceability,
+    _masks,
 )
 
 __all__ = [
@@ -62,40 +66,48 @@ class InfeasibleDemand(Exception):
         self.hall_set = hall_set
 
 
-def _find_assignment(
-    colsets: list[set[int]], demand: tuple[int, ...], avail: set[int]
-) -> dict[int, int] | tuple[int, ...]:
-    """Match files to servers; return file->server, or a Hall set on failure.
+def _augment(
+    masks: list[int], avail: int, owner: dict, taken: int, f: int, seen: list
+) -> int:
+    """Walk an augmenting path from file f; return the server bit it frees, or 0.
 
-    Deterministic: files are taken in ascending order and each file probes
-    its candidate servers in ascending order.
+    `owner` (matched server bit -> file) is rewired along the path; visited
+    servers gather in seen[0].  Not a closure that calls itself: that is a
+    reference cycle, leaving each call's state to the garbage collector.
     """
-    candidates = {f: sorted(colsets[f - 1] & avail) for f in demand}
-    matched: dict[int, int] = {}  # server -> file
+    cand = masks[f - 1] & avail
+    if free := cand & ~taken:  # free servers first: earlier files keep the lowest
+        owner[free & -free] = f
+        return free & -free
+    # Candidates below the lowest unvisited one are visited, so this ascends.
+    while rest := cand & ~seen[0]:
+        bit = rest & -rest
+        seen[0] |= bit
+        if freed := _augment(masks, avail, owner, taken, owner[bit], seen):
+            owner[bit] = f
+            return freed
+    return 0
 
-    def augment(f: int, visited: set[int]) -> bool:
-        # Free servers first, so earlier files keep their lowest servers.
-        for s in candidates[f]:
-            if s not in matched:
-                matched[s] = f
-                return True
-        for s in candidates[f]:
-            if s in visited:
-                continue
-            visited.add(s)
-            if augment(matched[s], visited):
-                matched[s] = f
-                return True
-        return False
 
+def _find_assignment(
+    masks: list[int], demand: tuple[int, ...], avail: int
+) -> dict[int, int] | tuple[int, ...]:
+    """Match files to servers; return server bit -> file, or a Hall set."""
+    owner: dict[int, int] = {}
+    taken = 0
     for f in demand:
-        visited: set[int] = set()
-        if not augment(f, visited):
-            # Every visited server is matched; those files plus f jointly
-            # reach only the visited servers, one short of what they need.
-            stuck = sorted({f} | {matched[s] for s in visited})
-            return tuple(stuck)
-    return {f: s for s, f in matched.items()}
+        if free := masks[f - 1] & avail & ~taken:  # the common case, with no call
+            bit = free & -free
+            owner[bit] = f
+        else:
+            seen = [0]
+            bit = _augment(masks, avail, owner, taken, f, seen)
+            if not bit:
+                # Every visited server is matched; those files plus f jointly
+                # reach only the visited servers, one short of what they need.
+                return tuple(sorted({f, *(g for s, g in owner.items() if s & seen[0])}))
+        taken |= bit
+    return owner
 
 
 def plan_retrieval(
@@ -126,11 +138,10 @@ def plan_retrieval(
         raise ValueError(
             f"only {len(avail)} servers available, need at least {p.m - p.r}"
         )
-    colsets = [set(col) for col in code.columns]
-    result = _find_assignment(colsets, dem, set(avail))
+    result = _find_assignment(_masks(code), dem, sum(1 << (s - 1) for s in avail))
     if isinstance(result, tuple):
         raise InfeasibleDemand(dem, avail, result)
-    return RetrievalPlan(tuple(sorted(result.items())))
+    return RetrievalPlan(tuple(sorted((f, b.bit_length()) for b, f in result.items())))
 
 
 def exhaustive_service_check(code: BatchCode, p: CodeParams) -> ServiceWitness | None:
@@ -145,12 +156,12 @@ def exhaustive_service_check(code: BatchCode, p: CodeParams) -> ServiceWitness |
     _check_serviceability(p)
     if p.n == 0:
         return None
-    colsets = [set(col) for col in code.columns]
-    dsize = min(p.k, p.n)
-    asize = p.m - p.r
-    for dem in combinations(range(1, p.n + 1), dsize):
-        for avail in combinations(range(1, p.m + 1), asize):
-            result = _find_assignment(colsets, dem, set(avail))
+    masks = _masks(code)
+    avail_sets = combinations(range(1, p.m + 1), p.m - p.r)
+    avails = [(avail, sum(1 << (s - 1) for s in avail)) for avail in avail_sets]
+    for dem in combinations(range(1, p.n + 1), min(p.k, p.n)):
+        for avail, amask in avails:
+            result = _find_assignment(masks, dem, amask)
             if isinstance(result, tuple):
                 return ServiceWitness(dem, avail, result)
     return None

@@ -60,7 +60,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node and wall-clock caps for a search; positive, with inf for no cap."""
+    """Node and wall-clock caps for a search; positive, with inf for no cap.
+
+    A search stops as it counts its node_limit-th node, so one that needs
+    exactly N nodes reports exact=False under node_limit=N.
+    """
 
     node_limit: int = 20_000_000
     time_limit: float = 600.0
@@ -109,7 +113,8 @@ class Meter:
     has passed.  add(count) counts `count` nodes and stops at exactly the
     checkpoint where counting them one by one would.  It returns the next
     checkpoint, so a search keeps its own running count and calls add() only
-    when that count reaches it; once stopped, `nodes` is where it stopped.
+    when that count reaches it; once stopped, `nodes` is where it stopped,
+    and the node at the limit is not handled.
     """
 
     def __init__(self, budget: SearchBudget) -> None:

@@ -10,10 +10,14 @@ import time
 from rcbc import (
     BatchCode,
     CodeParams,
+    InfeasibleDemand,
     SearchBudget,
     SearchResult,
+    ServiceWitness,
     SimpleGraph,
+    exhaustive_service_check,
     parse_matrix,
+    plan_retrieval,
     verify,
 )
 
@@ -405,3 +409,93 @@ def reference_max_edges_with_girth(
         exact = False
     witness = BatchCode(m, best_edges)
     return SearchResult(best, witness, exact, "exact" if exact else "lower", meter.nodes)
+
+
+# ---------------------------------------------------------------------------
+# Reference matcher: the set-based augmenting-path search the bitmask matcher
+# in rcbc.retrieval replaced, kept verbatim so that plans, Hall sets and
+# witnesses can be compared with it.
+
+
+def reference_find_assignment(
+    colsets: list[set[int]], demand: tuple[int, ...], avail: set[int]
+) -> dict[int, int] | tuple[int, ...]:
+    """Match files to servers; return file->server, or a Hall set on failure.
+
+    Deterministic: files are taken in ascending order and each file probes
+    its candidate servers in ascending order.
+    """
+    candidates = {f: sorted(colsets[f - 1] & avail) for f in demand}
+    matched: dict[int, int] = {}  # server -> file
+
+    def augment(f: int, visited: set[int]) -> bool:
+        # Free servers first, so earlier files keep their lowest servers.
+        for s in candidates[f]:
+            if s not in matched:
+                matched[s] = f
+                return True
+        for s in candidates[f]:
+            if s in visited:
+                continue
+            visited.add(s)
+            if augment(matched[s], visited):
+                matched[s] = f
+                return True
+        return False
+
+    for f in demand:
+        visited: set[int] = set()
+        if not augment(f, visited):
+            # Every visited server is matched; those files plus f jointly
+            # reach only the visited servers, one short of what they need.
+            stuck = sorted({f} | {matched[s] for s in visited})
+            return tuple(stuck)
+    return {f: s for s, f in matched.items()}
+
+
+def reference_service_check(code: BatchCode, p: CodeParams) -> ServiceWitness | None:
+    """exhaustive_service_check's sweep, on the reference matcher."""
+    if p.n == 0:
+        return None
+    colsets = [set(col) for col in code.columns]
+    dsize = min(p.k, p.n)
+    asize = p.m - p.r
+    for dem in itertools.combinations(range(1, p.n + 1), dsize):
+        for avail in itertools.combinations(range(1, p.m + 1), asize):
+            result = reference_find_assignment(colsets, dem, set(avail))
+            if isinstance(result, tuple):
+                return ServiceWitness(dem, avail, result)
+    return None
+
+
+def random_banded_code(
+    rng: random.Random, max_m: int = 7, max_n: int = 9
+) -> tuple[BatchCode, CodeParams]:
+    """A random code whose columns hold 1 to r + k servers; most fail."""
+    p = random_valid_params(rng, max_m, max_n)
+    top = min(p.r + p.k, p.m)
+    cols = [
+        tuple(rng.sample(range(1, p.m + 1), rng.randint(1, top)))
+        for _ in range(p.n)
+    ]
+    return BatchCode(p.m, cols), p
+
+
+def assert_matches_reference(
+    code: BatchCode, p: CodeParams, files, avail
+) -> bool:
+    """Assert the sweep and one plan match the set-based reference matcher.
+
+    Returns whether the plan was infeasible.
+    """
+    assert exhaustive_service_check(code, p) == reference_service_check(code, p)
+    colsets = [set(col) for col in code.columns]
+    want = reference_find_assignment(colsets, tuple(sorted(files)), set(avail))
+    try:
+        plan = plan_retrieval(code, p, files, avail)
+    except InfeasibleDemand as exc:
+        assert exc.hall_set == want
+        return True
+    assert plan.as_dict() == want
+    return False
+

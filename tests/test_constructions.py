@@ -427,6 +427,21 @@ class TestConstructOptimal:
         assert info.value.budget_limited
         assert len(calls) == 2
 
+    def test_r0_base_is_the_complete_design_without_search(self, monkeypatch):
+        # (5, 7, 0) gap window: 35 <= n < 140.  n = 36 needs a base of 35
+        # columns, C(7, 3): the counting bound, met by every 3-subset once.
+        from rcbc import search
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("gap_base_max ran for an r = 0 base")
+
+        monkeypatch.setattr(search, "gap_base_max", no_search)
+        p = CodeParams(36, 5, 7, 0)
+        code, pred = construct_optimal(p, budget=SearchBudget(node_limit=1))
+        assert (pred.regime, pred.value) == ("gap", 4 * 36 - (140 - 36) // 3)
+        assert weight(code) == pred.value
+        assert verify(code, p).ok
+
     def test_exact_base_is_reused_under_any_budget(self, monkeypatch):
         from rcbc import constructions, search
 

@@ -199,6 +199,16 @@ class TestMaxEdges:
             (4, 10), (7, 9), (8, 10), (9, 10),
         )
 
+    @pytest.mark.parametrize(
+        "node_limit, expected", [(37, (44, False, 37)), (38, (45, True, 37))]
+    )
+    def test_limit_counts_the_last_node(self, node_limit, expected):
+        # The proof of (10, 3) takes exactly 37 nodes.  A search stops when it
+        # counts its node_limit-th node, before handling it, so the proof
+        # needs node_limit=38.
+        result = max_edges_with_girth(10, 3, SearchBudget(node_limit=node_limit))
+        assert (result.value, result.exact, result.nodes) == expected
+
     @pytest.mark.parametrize("node_limit", [1, 37, 20_000])
     def test_matches_reference_loop(self, node_limit):
         # Where the two-call include/exclude search in helpers (no symmetry

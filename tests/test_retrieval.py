@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
@@ -20,10 +21,12 @@ from rcbc import (
 from helpers import (
     MANY_FILES_PARAMS,
     TALL_PARAMS,
+    assert_matches_reference,
     brute_force_feasible,
     many_files_code,
     max_batch_code,
     random_accepted_code,
+    random_banded_code,
     random_matrix,
     random_valid_params,
     tall_code,
@@ -170,3 +173,42 @@ class TestExhaustiveCheck:
             for avail in combinations(range(1, p.m + 1), p.m - p.r):
                 plan = plan_retrieval(code, p, dem, avail)
                 assert {f for f, _ in plan.assignment} == set(dem)
+
+
+class TestReferenceMatcher:
+    def test_matches_set_based_matcher_on_random_codes(self):
+        # Same witnesses, plans and Hall sets as the matcher over sets.
+        rng = random.Random(83)
+        failing = infeasible = 0
+        for _ in range(4_000):
+            code, p = random_banded_code(rng)
+            files = rng.sample(range(1, p.n + 1), rng.randint(1, min(p.k, p.n)))
+            avail = rng.sample(range(1, p.m + 1), p.m - p.r)
+            infeasible += assert_matches_reference(code, p, files, avail)
+            failing += not verify(code, p, "column-union").ok
+        # Both outcomes are well represented.
+        assert 2_000 < failing < 3_900
+        assert 500 < infeasible < 3_500
+
+    def test_calls_leave_no_cyclic_garbage(self):
+        # A self-calling closure in the matcher would leave a reference cycle
+        # per call, holding the call's mask list until a collection.
+        rng = random.Random(89)
+        cases = [random_banded_code(rng) for _ in range(200)]
+        passing = [random_accepted_code(rng, max_m=6, max_n=8) for _ in range(50)]
+        code, p = many_files_code(), MANY_FILES_PARAMS
+        plans = [
+            (dem, avail)
+            for dem in combinations(range(1, p.n + 1), p.k)
+            for avail in combinations(range(1, p.m + 1), p.m - p.r)
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for dem, avail in plans:
+                plan_retrieval(code, p, dem, avail)
+            for c, q in cases + passing:
+                exhaustive_service_check(c, q)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
