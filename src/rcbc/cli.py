@@ -71,13 +71,8 @@ def _resolve_params(args: argparse.Namespace) -> CodeParams:
     if args.params is not None:
         if any(getattr(args, f) is not None for f in "nkmr"):
             raise ValueError("--params cannot be combined with --n/--k/--m/--r")
-        fields = args.params.split(",")
-        if len(fields) != 4:
-            raise ValueError(f"--params needs four comma-separated integers, got {args.params!r}")
-        try:
-            n, k, m, r = (int(f) for f in fields)
-        except ValueError:
-            raise ValueError(f"--params needs integers, got {args.params!r}") from None
+        usage = "--params needs four comma-separated integers"
+        n, k, m, r = _int_list(args.params, usage, count=4)
     else:
         for f in "nkmr":
             if getattr(args, f) is None:
@@ -92,23 +87,28 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     return SearchBudget(node_limit=args.node_limit, time_limit=args.time_limit)
 
 
-def _int_list(text: str) -> list[int]:
-    if not text:
-        return []
-    try:
-        return [int(f) for f in text.split(",")]
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+def _int_list(
+    text: str, usage: str, sep: str = ",", count: int | None = None
+) -> list[int]:
+    """The integers in `text` separated by `sep`; empty text gives [].
+
+    Each integer is decimal digits with an optional leading minus, so a
+    negative value reaches the range checks; no plus, space or underscore.
+    Raises ValueError with `usage` on anything else, or when `count` is
+    given and the number of integers differs.
+    """
+    fields = text.split(sep) if text else []
+    digits = all(f.removeprefix("-").isdecimal() for f in fields)
+    if not digits or count not in (None, len(fields)):
+        raise ValueError(f"{usage}, got {text!r}")
+    return [int(f) for f in fields]
 
 
 def _parse_range(text: str) -> list[int]:
     if ":" in text:
-        lo, _, hi = text.partition(":")
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise ValueError(f"bad range {text!r}, expected LO:HI") from None
-    return _int_list(text)
+        lo, hi = _int_list(text, "bad range, expected LO:HI", sep=":", count=2)
+        return list(range(lo, hi + 1))
+    return _int_list(text, "expected N, LO:HI, or comma-separated integers")
 
 
 def _describe(witness) -> str:
@@ -165,8 +165,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_retrieve(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     code = parse_matrix(_read_text(args.file))
-    demand = _int_list(args.demand)
-    down = set(_int_list(args.down))
+    demand = _int_list(args.demand, "--demand needs comma-separated integers")
+    down = set(_int_list(args.down, "--down needs comma-separated integers"))
     outside = sorted(s for s in down if not 1 <= s <= p.m)
     if outside:
         raise ValueError(f"down servers {outside} are not within servers 1..{p.m}")
@@ -209,6 +209,8 @@ def _table_row(budget: SearchBudget, p: CodeParams) -> tuple[str, bool]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     ranges = [_parse_range(text) for text in (args.n, args.k, args.m, args.r)]
     row = functools.partial(_table_row, _budget(args))
     params = []
@@ -220,10 +222,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if p.is_valid:
             params.append(p)
     print("n,k,m,r,regime,predicted,oracle,exact")
-    if args.jobs > 1:
+    workers = min(args.jobs, len(params))  # never more processes than rows
+    if workers > 1:
         from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
+        with Pool(workers) as pool:
             rows = pool.map(row, params)
     else:
         rows = [row(p) for p in params]
@@ -286,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", required=True, help="range: N, LO:HI, or comma list")
     sub.add_argument("--m", required=True, help="range: N, LO:HI, or comma list")
     sub.add_argument("--r", required=True, help="range: N, LO:HI, or comma list")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sub.add_argument("--jobs", type=int, default=1, help="workers, at most one per row")
     _add_budget_flags(sub)
     sub.set_defaults(handler=_cmd_table)
 

@@ -3,8 +3,7 @@
 Each constructor returns a code proven optimal in its regime; the regime
 dispatcher `predicted_weight` evaluates every formula whose hypothesis holds
 and insists they agree.  The extension machinery appends cardinality-(r+k-1)
-columns up to a counted capacity, and packing-design complements give codes
-directly.
+columns up to a counted capacity.
 """
 
 from __future__ import annotations
@@ -12,18 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, cycle, islice
-from typing import Literal
 
 from . import search
 from .core import BatchCode, CodeParams, canonicalize, validate_params, verify, weight
 
 __all__ = [
     "NoKnownConstruction",
-    "PackingDesign",
     "RegimePrediction",
-    "complete_packing_design",
     "construct_circulant",
-    "construct_from_design",
     "construct_gap",
     "construct_large_n",
     "construct_max_k",
@@ -143,108 +138,6 @@ def extend_with_columns(code: BatchCode, p: CodeParams, count: int) -> BatchCode
 
 
 # ---------------------------------------------------------------------------
-# Packing designs
-
-
-@dataclass(frozen=True)
-class PackingDesign:
-    """Blocks of fixed size over points 1..points, with bounded coverage:
-    every `strength`-subset of points lies in at most `max_coverage` blocks.
-    """
-
-    points: int
-    block_size: int
-    strength: int
-    max_coverage: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        points, size = self.points, self.block_size
-        if points < 1 or size < 1 or self.strength < 1 or self.max_coverage < 0:
-            raise ValueError("design parameters must be positive (coverage >= 0)")
-        if self.strength > size:
-            raise ValueError(f"strength {self.strength} exceeds block size {size}")
-        blocks = tuple(tuple(sorted(set(block))) for block in self.blocks)
-        for b in blocks:
-            if len(b) != size:
-                raise ValueError(f"block {b} does not have size {size}")
-            if b[0] < 1 or b[-1] > points:
-                raise ValueError(f"block {b} is not within points 1..{points}")
-        object.__setattr__(self, "blocks", blocks)
-
-    def coverage_violation(self) -> tuple[int, ...] | None:
-        """A strength-subset covered by too many blocks, or None."""
-        for sub in combinations(range(1, self.points + 1), self.strength):
-            sset = set(sub)
-            covered = sum(1 for b in self.blocks if sset <= set(b))
-            if covered > self.max_coverage:
-                return sub
-        return None
-
-    def max_block_multiplicity(self) -> int:
-        seen: dict[tuple[int, ...], int] = {}
-        for b in self.blocks:
-            seen[b] = seen.get(b, 0) + 1
-        return max(seen.values(), default=0)
-
-
-def complete_packing_design(m: int, k: int) -> PackingDesign:
-    """The all-blocks design whose complements form a code with r = 0.
-
-    Blocks are every (m-k+2)-subset of 1..m; each (m-k+1)-subset lies in
-    exactly k-1 of them.
-    """
-    if k < 3:
-        raise ValueError(f"need k >= 3, got k={k}")
-    if m < k:
-        raise ValueError(f"need m >= k, got m={m}, k={k}")
-    g = m - k
-    return PackingDesign(
-        points=m,
-        block_size=g + 2,
-        strength=g + 1,
-        max_coverage=k - 1,
-        blocks=tuple(combinations(range(1, m + 1), g + 2)),
-    )
-
-
-def construct_from_design(design: PackingDesign, p: CodeParams) -> BatchCode:
-    """Columns are the block complements; block order is preserved.
-
-    The design must match p: points = m, block size m - r - k + 2, strength
-    one less, coverage at most k-1, and no block repeated more than k-2
-    times.  The resulting columns have cardinality r+k-2.
-    """
-    g = p.m - (p.r + p.k)
-    if g < 0:
-        raise ValueError(f"need m >= r+k, got m={p.m}, r+k={p.r + p.k}")
-    if design.points != p.m:
-        raise ValueError(f"design has {design.points} points, expected {p.m}")
-    if design.block_size != g + 2:
-        raise ValueError(
-            f"design blocks have size {design.block_size}, expected {g + 2}"
-        )
-    if design.strength != g + 1:
-        raise ValueError(f"design strength {design.strength}, expected {g + 1}")
-    if design.max_coverage != p.k - 1:
-        raise ValueError(
-            f"design coverage bound {design.max_coverage}, expected {p.k - 1}"
-        )
-    if len(design.blocks) != p.n:
-        raise ValueError(f"design has {len(design.blocks)} blocks, expected n={p.n}")
-    bad = design.coverage_violation()
-    if bad is not None:
-        raise ValueError(f"points {list(bad)} are covered by too many blocks")
-    if design.max_block_multiplicity() > p.k - 2:
-        raise ValueError(
-            f"a block repeats more than k-2 = {p.k - 2} times"
-        )
-    everything = set(range(1, p.m + 1))
-    cols = [tuple(sorted(everything - set(b))) for b in design.blocks]
-    return BatchCode(p.m, cols)
-
-
-# ---------------------------------------------------------------------------
 # The gap regime and the dispatcher
 
 
@@ -283,15 +176,15 @@ def construct_gap(p: CodeParams, base: BatchCode) -> BatchCode:
 
 @dataclass(frozen=True)
 class RegimePrediction:
-    """A weight formula's verdict: value, regime tag, and its strength.
+    """A weight formula's verdict: the optimal weight and its regime tag.
 
-    `budget_limited` marks an unknown prediction that only an inexact gap
-    base search left unknown, so a larger budget might cover p.
+    A known prediction is proven optimal.  `budget_limited` marks an unknown
+    prediction that only an inexact gap base search left unknown, so a
+    larger budget might cover p.
     """
 
     value: int | None
     regime: str | None
-    exactness: Literal["proven-optimal"] | None
     budget_limited: bool = False
 
     @property
@@ -365,13 +258,13 @@ def predicted_weight(
             if n >= total - span * base.value:
                 found.append(("gap", (r + k - 1) * n - (total - n) // span))
     if not found:
-        return RegimePrediction(None, None, None, budget_limited)
+        return RegimePrediction(None, None, budget_limited)
     values = {v for _, v in found}
     if len(values) != 1:
         detail = ", ".join(f"{tag}={v}" for tag, v in found)
         raise RuntimeError(f"optimal-weight formulas disagree: {detail}")
     tag, value = found[0]
-    return RegimePrediction(value, tag, "proven-optimal")
+    return RegimePrediction(value, tag)
 
 
 def construct_optimal(

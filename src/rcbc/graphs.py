@@ -222,7 +222,7 @@ def max_edges_with_girth(
         exact = False
         nodes = meter.nodes
     witness = code_from_graph(SimpleGraph(m, best_edges))
-    return SearchResult(best, witness, exact, "exact" if exact else "lower", nodes)
+    return SearchResult(best, witness, exact, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -85,15 +85,18 @@ class SearchResult:
 
     With exact=True, `value` is the quantity searched for and `witness` (when
     the quantity has one) achieves it; value None means no finite answer
-    exists.  With exact=False the budget ran out: `bound` says which side of
-    the truth `value` is on, and `witness` is the best object found so far.
+    exists.  With exact=False the budget ran out: `value` is a lower bound on
+    the truth, and `witness` is the best object found so far.
     """
 
     value: int | None
     witness: BatchCode | None
     exact: bool
-    bound: Literal["exact", "lower"] = "exact"
     nodes: int = 0
+
+    @property
+    def bound(self) -> Literal["exact", "lower"]:
+        return "exact" if self.exact else "lower"
 
     @property
     def unbounded(self) -> bool:
@@ -333,10 +336,10 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
         descend(0, 0, n, 0, room0, symmetry.root)
     except BudgetExhausted:
         witness = BatchCode(m, [cols[j] for j in best]) if best is not None else None
-        return SearchResult(root_floor, witness, False, "lower", meter.nodes)
+        return SearchResult(root_floor, witness, False, meter.nodes)
     assert best is not None  # all-(r+k)-cardinality multisets are always codes
     witness = BatchCode(m, [cols[j] for j in best])
-    return SearchResult(best_weight, witness, True, "exact", nodes)
+    return SearchResult(best_weight, witness, True, nodes)
 
 
 def uniform_packing_max(
@@ -418,7 +421,7 @@ def uniform_packing_max(
         exact = False
         nodes = meter.nodes
     witness = BatchCode(m, [cols[j] for j in best_cols])
-    return SearchResult(best, witness, exact, "exact" if exact else "lower", nodes)
+    return SearchResult(best, witness, exact, nodes)
 
 
 def gap_base_max(
@@ -460,5 +463,5 @@ def trivial_weight_max(
     """
     _check_serviceability(CodeParams(0, k, m, r))
     if k == 1:
-        return SearchResult(None, None, True, "exact", 0)
+        return SearchResult(None, None, True)
     return uniform_packing_max(k, m, r, r + 1, limit=limit, budget=budget)

@@ -6,6 +6,8 @@ import itertools
 import math
 import random
 import time
+from dataclasses import dataclass
+from itertools import combinations
 
 from rcbc import (
     BatchCode,
@@ -309,9 +311,9 @@ def reference_exact_min_weight(p: CodeParams, budget: SearchBudget) -> SearchRes
         descend(prefixes, n, 0)
     except _RefExhausted:
         witness = BatchCode(m, [cols[j] for j in best]) if best is not None else None
-        return SearchResult((r + 1) * n, witness, False, "lower", meter.nodes)
+        return SearchResult((r + 1) * n, witness, False, meter.nodes)
     witness = BatchCode(m, [cols[j] for j in best])
-    return SearchResult(int(best_weight), witness, True, "exact", meter.nodes)
+    return SearchResult(int(best_weight), witness, True, meter.nodes)
 
 
 def reference_uniform_packing_max(
@@ -354,7 +356,7 @@ def reference_uniform_packing_max(
     except _RefExhausted:
         exact = False
     witness = BatchCode(m, [cols[j] for j in best_cols])
-    return SearchResult(best, witness, exact, "exact" if exact else "lower", meter.nodes)
+    return SearchResult(best, witness, exact, meter.nodes)
 
 
 def reference_max_edges_with_girth(
@@ -408,7 +410,7 @@ def reference_max_edges_with_girth(
     except _RefExhausted:
         exact = False
     witness = BatchCode(m, best_edges)
-    return SearchResult(best, witness, exact, "exact" if exact else "lower", meter.nodes)
+    return SearchResult(best, witness, exact, meter.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -499,3 +501,105 @@ def assert_matches_reference(
     assert plan.as_dict() == want
     return False
 
+
+# ---------------------------------------------------------------------------
+# Packing designs: a by-hand way to build an r = 0 gap base from block
+# complements, kept as an oracle for the closed form in rcbc.constructions.
+
+
+@dataclass(frozen=True)
+class PackingDesign:
+    """Blocks of fixed size over points 1..points, with bounded coverage:
+    every `strength`-subset of points lies in at most `max_coverage` blocks.
+    """
+
+    points: int
+    block_size: int
+    strength: int
+    max_coverage: int
+    blocks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        points, size = self.points, self.block_size
+        if points < 1 or size < 1 or self.strength < 1 or self.max_coverage < 0:
+            raise ValueError("design parameters must be positive (coverage >= 0)")
+        if self.strength > size:
+            raise ValueError(f"strength {self.strength} exceeds block size {size}")
+        blocks = tuple(tuple(sorted(set(block))) for block in self.blocks)
+        for b in blocks:
+            if len(b) != size:
+                raise ValueError(f"block {b} does not have size {size}")
+            if b[0] < 1 or b[-1] > points:
+                raise ValueError(f"block {b} is not within points 1..{points}")
+        object.__setattr__(self, "blocks", blocks)
+
+    def coverage_violation(self) -> tuple[int, ...] | None:
+        """A strength-subset covered by too many blocks, or None."""
+        for sub in combinations(range(1, self.points + 1), self.strength):
+            sset = set(sub)
+            covered = sum(1 for b in self.blocks if sset <= set(b))
+            if covered > self.max_coverage:
+                return sub
+        return None
+
+    def max_block_multiplicity(self) -> int:
+        seen: dict[tuple[int, ...], int] = {}
+        for b in self.blocks:
+            seen[b] = seen.get(b, 0) + 1
+        return max(seen.values(), default=0)
+
+
+def complete_packing_design(m: int, k: int) -> PackingDesign:
+    """The all-blocks design whose complements form a code with r = 0.
+
+    Blocks are every (m-k+2)-subset of 1..m; each (m-k+1)-subset lies in
+    exactly k-1 of them.
+    """
+    if k < 3:
+        raise ValueError(f"need k >= 3, got k={k}")
+    if m < k:
+        raise ValueError(f"need m >= k, got m={m}, k={k}")
+    g = m - k
+    return PackingDesign(
+        points=m,
+        block_size=g + 2,
+        strength=g + 1,
+        max_coverage=k - 1,
+        blocks=tuple(combinations(range(1, m + 1), g + 2)),
+    )
+
+
+def construct_from_design(design: PackingDesign, p: CodeParams) -> BatchCode:
+    """Columns are the block complements; block order is preserved.
+
+    The design must match p: points = m, block size m - r - k + 2, strength
+    one less, coverage at most k-1, and no block repeated more than k-2
+    times.  The resulting columns have cardinality r+k-2.
+    """
+    g = p.m - (p.r + p.k)
+    if g < 0:
+        raise ValueError(f"need m >= r+k, got m={p.m}, r+k={p.r + p.k}")
+    if design.points != p.m:
+        raise ValueError(f"design has {design.points} points, expected {p.m}")
+    if design.block_size != g + 2:
+        raise ValueError(
+            f"design blocks have size {design.block_size}, expected {g + 2}"
+        )
+    if design.strength != g + 1:
+        raise ValueError(f"design strength {design.strength}, expected {g + 1}")
+    if design.max_coverage != p.k - 1:
+        raise ValueError(
+            f"design coverage bound {design.max_coverage}, expected {p.k - 1}"
+        )
+    if len(design.blocks) != p.n:
+        raise ValueError(f"design has {len(design.blocks)} blocks, expected n={p.n}")
+    bad = design.coverage_violation()
+    if bad is not None:
+        raise ValueError(f"points {list(bad)} are covered by too many blocks")
+    if design.max_block_multiplicity() > p.k - 2:
+        raise ValueError(
+            f"a block repeats more than k-2 = {p.k - 2} times"
+        )
+    everything = set(range(1, p.m + 1))
+    cols = [tuple(sorted(everything - set(b))) for b in design.blocks]
+    return BatchCode(p.m, cols)

@@ -433,6 +433,36 @@ class TestTable:
         assert serial[0] == parallel[0] == 0
         assert serial[1] == parallel[1]
 
+    def test_jobs_capped_at_rows_and_at_least_one(self, capsys, monkeypatch):
+        asked = []
+
+        class SerialPool:  # records the worker count; starts no process
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(x) for x in items]
+
+        monkeypatch.setattr("multiprocessing.Pool", SerialPool)
+        argv = ["table", "--n", "2,4", "--k", "2", "--m", "4", "--r", "1"]
+        serial = run(capsys, *argv)
+        assert run(capsys, *argv, "--jobs", "64") == serial
+        assert asked == [2]
+        one_row = ["table", "--n", "2", "--k", "2", "--m", "4", "--r", "1"]
+        assert run(capsys, *one_row, "--jobs", "64")[0] == 0
+        assert asked == [2]  # a single row runs without a pool
+        for jobs in ("0", "-1"):
+            code, out, err = run(capsys, *argv, "--jobs", jobs)
+            assert (code, out) == (2, "")
+            assert f"--jobs must be at least 1, got {jobs}" in err
+        assert asked == [2]
+
     def test_budget_exhaustion_flags_row_and_exit(self, capsys):
         code, out, _ = run(
             capsys,
@@ -492,6 +522,23 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "construct", "--params", "4,3,6,3", "--wat")
         assert code == 2
+
+    @pytest.mark.parametrize("field", ["1_0", "+2", " 3"])
+    def test_integers_are_decimal_digits_only(self, capsys, tmp_path, field):
+        path = tmp_path / "tall.txt"
+        path.write_text(TALL_TEXT)
+        retrieve = ["retrieve", "--params", "4,3,6,3", str(path)]
+        table = ["table", "--k", "2", "--m", "4", "--r", "1"]
+        for argv in (
+            ["construct", "--params", f"{field},3,6,3"],
+            [*retrieve, "--demand", f"1,{field}"],
+            [*retrieve, "--demand", "1", "--down", field],
+            [*table, "--n", field],
+            [*table, "--n", f"1:{field}"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:"), argv
 
 
 def cli_env() -> dict[str, str]:

@@ -10,13 +10,11 @@ from rcbc import (
     BatchCode,
     CodeParams,
     NoKnownConstruction,
-    PackingDesign,
     ParameterError,
     SearchBudget,
+    canonicalize,
     cardinality_profile,
-    complete_packing_design,
     construct_circulant,
-    construct_from_design,
     construct_gap,
     construct_large_n,
     construct_max_k,
@@ -31,7 +29,10 @@ from rcbc import (
 )
 from helpers import (
     TALL_PARAMS,
+    PackingDesign,
     brute_max_extension,
+    complete_packing_design,
+    construct_from_design,
     max_batch_code,
     tall_code,
     valid_kr_pairs,
@@ -221,6 +222,19 @@ class TestConstructFromDesign:
             assert verify(code, p).ok
             assert code.n == gap_base_max(k, m, 0).value
 
+    def test_complete_design_is_the_r0_gap_base(self):
+        # The dispatcher's closed-form r = 0 base is this design's complement.
+        from rcbc.constructions import _gap_base
+
+        for m in range(3, 9):
+            for k in range(3, m + 1):
+                design = complete_packing_design(m, k)
+                p = CodeParams(len(design.blocks), k, m, 0)
+                base = _gap_base(k, m, 0, None)
+                assert base.exact and base.value == p.n, (m, k)
+                got = canonicalize(construct_from_design(design, p))
+                assert got == canonicalize(base.witness), (m, k)
+
     def test_parameter_mismatches_rejected(self):
         design = complete_packing_design(5, 3)
         with pytest.raises(ValueError, match="points"):
@@ -323,7 +337,6 @@ class TestPredictedWeight:
             pred = predicted_weight(CodeParams(*tup))
             assert pred.known
             assert (pred.regime, pred.value) == (regime, value), tup
-            assert pred.exactness == "proven-optimal"
 
     def test_uncovered_parameters_reported_unknown(self):
         pred = predicted_weight(CodeParams(7, 3, 5, 1))

@@ -69,7 +69,11 @@ class TestBudget:
     def test_unbounded_flag(self):
         assert SearchResult(None, None, True).unbounded
         assert not SearchResult(3, None, True).unbounded
-        assert not SearchResult(None, None, False, "lower").unbounded
+        assert not SearchResult(None, None, False).unbounded
+
+    def test_bound_follows_exact(self):
+        assert SearchResult(3, None, True).bound == "exact"
+        assert SearchResult(3, None, False).bound == "lower"
 
 
 class TestMeter:
