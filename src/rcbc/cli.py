@@ -46,16 +46,16 @@ def _emit(text: str, out: str | None) -> None:
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--params", help="packed parameters n,k,m,r")
-    sub.add_argument("--n", type=int, help="number of files")
-    sub.add_argument("--k", type=int, help="batch size")
-    sub.add_argument("--m", type=int, help="number of servers")
-    sub.add_argument("--r", type=int, help="tolerated server outages")
+    sub.add_argument("--n", type=_int, help="number of files")
+    sub.add_argument("--k", type=_int, help="batch size")
+    sub.add_argument("--m", type=_int, help="number of servers")
+    sub.add_argument("--r", type=_int, help="tolerated server outages")
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--node-limit",
-        type=int,
+        type=_int,
         default=DEFAULT_BUDGET.node_limit,
         help="search node cap (default %(default)s)",
     )
@@ -102,6 +102,14 @@ def _int_list(
     if not digits or count not in (None, len(fields)):
         raise ValueError(f"{usage}, got {text!r}")
     return [int(f) for f in fields]
+
+
+def _int(text: str) -> int:
+    """One integer as _int_list reads it; the argparse `type` of integer flags."""
+    try:
+        return _int_list(text, "expected an integer", count=1)[0]
+    except ValueError as exc:  # argparse shows this message, not "invalid value"
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_range(text: str) -> list[int]:
@@ -289,15 +297,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", required=True, help="range: N, LO:HI, or comma list")
     sub.add_argument("--m", required=True, help="range: N, LO:HI, or comma list")
     sub.add_argument("--r", required=True, help="range: N, LO:HI, or comma list")
-    sub.add_argument("--jobs", type=int, default=1, help="workers, at most one per row")
+    sub.add_argument(
+        "--jobs", type=_int, default=1, help="workers, at most one per row"
+    )
     _add_budget_flags(sub)
     sub.set_defaults(handler=_cmd_table)
 
     sub = subs.add_parser(
         "girth-search", help="most edges of an m-vertex graph with girth >= bound"
     )
-    sub.add_argument("--m", type=int, required=True, help="number of vertices")
-    sub.add_argument("--girth", type=int, required=True, help="minimum girth")
+    sub.add_argument("--m", type=_int, required=True, help="number of vertices")
+    sub.add_argument("--girth", type=_int, required=True, help="minimum girth")
     _add_budget_flags(sub)
     sub.set_defaults(handler=_cmd_girth_search)
 

@@ -14,6 +14,7 @@ from itertools import combinations, cycle, islice
 
 from . import search
 from .core import BatchCode, CodeParams, canonicalize, validate_params, verify, weight
+from .core import _contained_counts, _masks
 
 __all__ = [
     "NoKnownConstruction",
@@ -120,19 +121,18 @@ def extend_with_columns(code: BatchCode, p: CodeParams, count: int) -> BatchCode
     if count > capacity:
         raise ValueError(f"count {count} exceeds extension capacity {capacity}")
     top = p.r + p.k - 1
-    colsets = [set(col) for col in code.columns]
+    # An appended column lies in no other (r+k-1)-set, so the counts of the
+    # given columns are all that later candidates see.
+    inside = _contained_counts(_masks(code), p.m, top, top)
     cols = list(code.columns)
     remaining = count
     for cand in combinations(range(1, p.m + 1), top):
         if remaining == 0:
             break
-        cset = set(cand)
-        inside = sum(1 for col in colsets if col <= cset)
-        take = min(p.k - 1 - inside, remaining)
-        for _ in range(take):
-            cols.append(cand)
-            colsets.append(cset)
-            remaining -= 1
+        cmask = sum(1 << (s - 1) for s in cand)
+        take = min(p.k - 1 - inside.get(cmask, 0), remaining)
+        cols.extend([cand] * take)
+        remaining -= take
     assert remaining == 0  # guaranteed by the capacity count
     return BatchCode(p.m, cols)
 

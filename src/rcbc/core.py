@@ -12,6 +12,7 @@ small, independently checkable witness on failure.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Literal
@@ -239,12 +240,14 @@ def verify(code: BatchCode, p: CodeParams, strategy: Strategy = "auto") -> Verif
     violation in its own enumeration order (subset sizes ascending, subsets
     lexicographic within a size):
 
-    - "definitional": exhaust demand / availability pairs and match files to
-      servers; witness is an unservable pair.
+    - "definitional": match files to servers for every maximal demand /
+      availability pair, each prefix of a demand once per availability set;
+      witness is the first unservable pair in (demand, availability) order.
     - "column-union": every choice of c <= k columns must span at least r + c
       servers; witness is a column set spanning too few.
     - "row-containment": every set of d servers, r <= d < r + k, may fully
-      contain at most d - r columns; witness is an overloaded server set.
+      contain at most d - r columns, counted in one pass over the columns;
+      witness is the smallest overloaded server set.
 
     "auto" picks the cheaper of the last two by enumeration count.
     """
@@ -277,18 +280,34 @@ def _verify_column_union(code: BatchCode, p: CodeParams) -> VerifyReport:
     return VerifyReport(True, "column-union")
 
 
+def _contained_counts(masks: list[int], m: int, lo: int, hi: int) -> dict[int, int]:
+    """Columns inside each server set of size lo..hi that holds any, by mask:
+    each distinct column adds its multiplicity to its supersets of those sizes."""
+    counts: dict[int, int] = {}
+    for cm, mult in Counter(masks).items():
+        outside = [1 << s for s in range(m) if not cm >> s & 1]
+        for d in range(max(lo, cm.bit_count()), hi + 1):
+            for extra in map(sum, combinations(outside, d - cm.bit_count())):
+                counts[cm + extra] = counts.get(cm + extra, 0) + mult
+    return counts
+
+
 def _verify_row_containment(code: BatchCode, p: CodeParams) -> VerifyReport:
+    """Count from the column side; the witness is the first overloaded set by
+    (size, rows), with its columns, as a set-by-set scan would report it."""
     masks = _masks(code)
-    for d in range(p.r, p.r + p.k):
-        for rows in combinations(range(1, p.m + 1), d):
-            imask = sum(1 << (s - 1) for s in rows)
-            contained = tuple(
-                j + 1 for j, cm in enumerate(masks) if cm & ~imask == 0
-            )
-            if len(contained) > d - p.r:
-                witness = RowContainmentWitness(rows, contained)
-                return VerifyReport(False, "row-containment", witness)
-    return VerifyReport(True, "row-containment")
+    counts = _contained_counts(masks, p.m, p.r, p.r + p.k - 1)
+    over = [a for a, c in counts.items() if c > a.bit_count() - p.r]
+    if not over:
+        return VerifyReport(True, "row-containment")
+    rows = min(
+        (tuple(s for s in range(1, p.m + 1) if a >> (s - 1) & 1) for a in over),
+        key=lambda t: (len(t), t),
+    )
+    imask = sum(1 << (s - 1) for s in rows)
+    contained = tuple(j + 1 for j, cm in enumerate(masks) if cm & ~imask == 0)
+    witness = RowContainmentWitness(rows, contained)
+    return VerifyReport(False, "row-containment", witness)
 
 
 def _verify_definitional(code: BatchCode, p: CodeParams) -> VerifyReport:

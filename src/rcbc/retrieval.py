@@ -144,24 +144,60 @@ def plan_retrieval(
     return RetrievalPlan(tuple(sorted((f, b.bit_length()) for b, f in result.items())))
 
 
+def _first_unserved(
+    masks: list[int], avail: int, owner: dict, taken: int, start: int, left: int,
+    limit: tuple[int, ...] | None,
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(suffix, Hall set) for the first `left` files from `start` on that
+    `avail` cannot serve after a prefix matched into `owner` and `taken`, or
+    None.  While the prefix agrees with the best failing demand so far,
+    `limit` is the rest of that demand, and only suffixes before it run.
+    """
+    stop = len(masks) - left + 2 if limit is None else limit[0] + (left > 1)
+    free = avail & ~taken
+    for f in range(start, stop):
+        if b := masks[f - 1] & free:
+            if left == 1:  # the last file needs only a free server
+                continue
+            bit = b & -b
+            owner[bit] = f  # entries outside `taken` are stale and never read
+            mine = owner
+        else:
+            mine = dict(owner)  # _augment rewires servers the prefix matched
+            seen = [0]
+            bit = _augment(masks, avail, mine, taken, f, seen)
+            if not bit:  # every suffix starting with f fails at f
+                hall = {f, *(g for s, g in owner.items() if s & seen[0])}
+                return tuple(range(f, f + left)), tuple(sorted(hall))
+            if left == 1:
+                continue
+        rest = limit[1:] if limit is not None and f == limit[0] else None
+        found = _first_unserved(masks, avail, mine, taken | bit, f + 1, left - 1, rest)
+        if found:
+            return (f, *found[0]), found[1]
+    return None
+
+
 def exhaustive_service_check(code: BatchCode, p: CodeParams) -> ServiceWitness | None:
     """Try every maximal demand against every maximal availability set.
 
     Returns None when all pairs are servable, else a witness for the first
     failing pair in (demand, availability) lexicographic order.  Serving smaller demands or
     larger availability sets is implied by restriction, so maximal pairs
-    decide the property.
+    decide the property.  Each availability set matches each demand prefix
+    once, as _find_assignment would, and tries only demands before the best
+    failing one so far, so the witness is still the first pair's.
     """
     _check_dimensions(code, p)
     _check_serviceability(p)
     if p.n == 0:
         return None
     masks = _masks(code)
-    avail_sets = combinations(range(1, p.m + 1), p.m - p.r)
-    avails = [(avail, sum(1 << (s - 1) for s in avail)) for avail in avail_sets]
-    for dem in combinations(range(1, p.n + 1), min(p.k, p.n)):
-        for avail, amask in avails:
-            result = _find_assignment(masks, dem, amask)
-            if isinstance(result, tuple):
-                return ServiceWitness(dem, avail, result)
-    return None
+    best: ServiceWitness | None = None
+    for avail in combinations(range(1, p.m + 1), p.m - p.r):
+        amask = sum(1 << (s - 1) for s in avail)
+        limit = None if best is None else best.demand
+        found = _first_unserved(masks, amask, {}, 0, 1, min(p.k, p.n), limit)
+        if found and (limit is None or found[0] < limit):
+            best = ServiceWitness(found[0], avail, found[1])
+    return best

@@ -13,15 +13,20 @@ from rcbc import (
     BatchCode,
     CodeParams,
     InfeasibleDemand,
+    RowContainmentWitness,
     SearchBudget,
     SearchResult,
     ServiceWitness,
     SimpleGraph,
+    VerifyReport,
     exhaustive_service_check,
+    extension_capacity,
     parse_matrix,
     plan_retrieval,
     verify,
 )
+from rcbc.core import _check_dimensions, _check_serviceability, _masks
+from rcbc.retrieval import _find_assignment
 
 # Reference placements, transcribed as matrix text so the parser is on the
 # critical path of every test that uses them.
@@ -500,6 +505,84 @@ def assert_matches_reference(
         return True
     assert plan.as_dict() == want
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference sweeps: the pair-by-pair definitional check, the set-by-set
+# row-containment check and the pair-by-pair extension count that the prefix
+# and column-side versions in rcbc replaced, kept verbatim so that reports and
+# appended columns can be compared with them.
+
+
+def reference_pairwise_service_check(
+    code: BatchCode, p: CodeParams
+) -> ServiceWitness | None:
+    """Try every maximal demand against every maximal availability set.
+
+    Returns None when all pairs are servable, else a witness for the first
+    failing pair in (demand, availability) lexicographic order.  Serving smaller demands or
+    larger availability sets is implied by restriction, so maximal pairs
+    decide the property.
+    """
+    _check_dimensions(code, p)
+    _check_serviceability(p)
+    if p.n == 0:
+        return None
+    masks = _masks(code)
+    avail_sets = combinations(range(1, p.m + 1), p.m - p.r)
+    avails = [(avail, sum(1 << (s - 1) for s in avail)) for avail in avail_sets]
+    for dem in combinations(range(1, p.n + 1), min(p.k, p.n)):
+        for avail, amask in avails:
+            result = _find_assignment(masks, dem, amask)
+            if isinstance(result, tuple):
+                return ServiceWitness(dem, avail, result)
+    return None
+
+
+def reference_row_containment(code: BatchCode, p: CodeParams) -> VerifyReport:
+    masks = _masks(code)
+    for d in range(p.r, p.r + p.k):
+        for rows in combinations(range(1, p.m + 1), d):
+            imask = sum(1 << (s - 1) for s in rows)
+            contained = tuple(
+                j + 1 for j, cm in enumerate(masks) if cm & ~imask == 0
+            )
+            if len(contained) > d - p.r:
+                witness = RowContainmentWitness(rows, contained)
+                return VerifyReport(False, "row-containment", witness)
+    return VerifyReport(True, "row-containment")
+
+
+def reference_extend_with_columns(
+    code: BatchCode, p: CodeParams, count: int
+) -> BatchCode:
+    """Append `count` cardinality-(r+k-1) columns, keeping the code verifying.
+
+    Walks the (r+k-1)-subsets lexicographically, appending each until it
+    holds k-1 whole columns.  Any count up to extension_capacity(code, p) is
+    reachable this way.
+    """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    capacity = extension_capacity(code, p)
+    if count > capacity:
+        raise ValueError(f"count {count} exceeds extension capacity {capacity}")
+    top = p.r + p.k - 1
+    colsets = [set(col) for col in code.columns]
+    cols = list(code.columns)
+    remaining = count
+    for cand in combinations(range(1, p.m + 1), top):
+        if remaining == 0:
+            break
+        cset = set(cand)
+        inside = sum(1 for col in colsets if col <= cset)
+        take = min(p.k - 1 - inside, remaining)
+        for _ in range(take):
+            cols.append(cand)
+            colsets.append(cset)
+            remaining -= 1
+    assert remaining == 0  # guaranteed by the capacity count
+    return BatchCode(p.m, cols)
 
 
 # ---------------------------------------------------------------------------

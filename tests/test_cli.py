@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import os
 import subprocess
@@ -588,3 +589,46 @@ class TestEntryPoint:
         )
         assert fetch.returncode == 0
         assert "->" in fetch.stdout
+
+
+class TestStrictIntegerFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--n", "1_0", "--k", "3", "--m", "6", "--r", "3"],
+            ["construct", "--n", "10", "--k", "+3", "--m", "6", "--r", "3"],
+            ["optimal", "--n", "4", "--k", "3", "--m", " 6", "--r", "3"],
+            ["construct", "--params", "4,3,6,3", "--node-limit", "1_000"],
+            ["girth-search", "--m", " 5", "--girth", "4"],
+            ["girth-search", "--m", "5", "--girth", "+4"],
+            ["table", "--n", "5", "--k", "2", "--m", "4", "--r", "1", "--jobs", "+1"],
+            ["table", "--n", "5", "--k", "2", "--m", "4", "--r", "1",
+             "--node-limit", "1_000"],
+        ],
+    )
+    def test_integer_flags_take_decimal_digits_only(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "expected an integer" in err
+
+    def test_time_limit_still_takes_inf(self, capsys):
+        code, out, _ = run(
+            capsys, "girth-search", "--m", "5", "--girth", "4", "--time-limit", "inf"
+        )
+        assert code == 0
+        assert "# max-edges: 6" in out
+
+
+class TestSourceSyntax:
+    def test_every_source_file_parses_as_python_3_10(self):
+        # The oldest Python that pyproject.toml declares; syntax newer than
+        # that fails here rather than only on a 3.10 interpreter.
+        root = Path(__file__).resolve().parent.parent
+        files = [
+            path
+            for top in ("src", "tests", "perfbench")
+            for path in sorted((root / top).rglob("*.py"))
+        ]
+        assert len(files) > 20
+        for path in files:
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -34,6 +34,7 @@ from helpers import (
     complete_packing_design,
     construct_from_design,
     max_batch_code,
+    reference_extend_with_columns,
     tall_code,
     valid_kr_pairs,
 )
@@ -473,3 +474,30 @@ class TestConstructOptimal:
         again, _ = construct_optimal(p, budget=SearchBudget(node_limit=1_000))
         assert again == code
         assert len(calls) == 1
+
+
+class TestExtensionAgainstPairwiseCount:
+    def test_gap_codes_append_the_same_columns(self):
+        # construct_gap's extension step, on every gap window with m <= 8:
+        # the column-side counts append what the per-pair count appended.
+        from rcbc.constructions import _gap_base
+
+        budget = SearchBudget(node_limit=5_000)
+        checked = 0
+        for m in range(3, 9):
+            for r in range(m):
+                for k in range(3, m - r + 1):
+                    total = (k - 1) * math.comb(m, r + k - 1)
+                    span = m - r - k + 1
+                    base = _gap_base(k, m, r, budget)
+                    columns = canonicalize(base.witness).columns
+                    for n in range(max(k, total - span * base.value), total):
+                        p = CodeParams(n, k, m, r)
+                        x = (total - n) // span
+                        partial = BatchCode(m, columns[:x])
+                        grown = extend_with_columns(partial, p, n - x)
+                        assert grown == reference_extend_with_columns(
+                            partial, p, n - x
+                        ), p
+                        checked += 1
+        assert checked > 2_000

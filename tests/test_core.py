@@ -10,11 +10,15 @@ from rcbc import (
     BatchCode,
     CodeParams,
     ColumnUnionWitness,
+    NoKnownConstruction,
     ParameterError,
     RowContainmentWitness,
     ServiceWitness,
+    VerifyReport,
     canonicalize,
     cardinality_profile,
+    construct_large_n,
+    construct_optimal,
     cross_check,
     move_ones,
     normalize_types,
@@ -29,8 +33,11 @@ from helpers import (
     many_files_code,
     max_batch_code,
     random_accepted_code,
+    random_banded_code,
     random_matrix,
     random_valid_params,
+    reference_pairwise_service_check,
+    reference_row_containment,
     tall_code,
     valid_kr_pairs,
 )
@@ -387,3 +394,58 @@ class TestWeightBounds:
             cols[j] = tuple(sorted(rng.sample(range(1, p.m + 1), p.r)))
             broken = BatchCode(p.m, cols)
             assert not verify(broken, p).ok
+
+
+def assert_reports_match_references(code: BatchCode, p: CodeParams) -> bool:
+    """Assert the definitional and row-containment reports equal the
+    pair-by-pair and set-by-set references; return whether the code fails."""
+    service = reference_pairwise_service_check(code, p)
+    want = VerifyReport(service is None, "definitional", service)
+    assert verify(code, p, "definitional") == want, (code.columns, p)
+    rows = reference_row_containment(code, p)
+    assert verify(code, p, "row-containment") == rows, (code.columns, p)
+    assert rows.ok == want.ok
+    return not rows.ok
+
+
+class TestReferenceSweeps:
+    # The prefix-tree definitional sweep and the column-side row-containment
+    # count must give the same verdict, strategy and witness as the sweeps
+    # they replaced.
+
+    def test_random_codes_with_repeated_columns(self):
+        rng = random.Random(97)
+        failing = 0
+        for _ in range(2_500):
+            code, p = random_banded_code(rng)
+            cols = list(code.columns)
+            for _ in range(rng.randint(0, p.n)):
+                cols[rng.randrange(p.n)] = rng.choice(cols)
+            failing += assert_reports_match_references(BatchCode(p.m, cols), p)
+        assert 1_500 < failing < 2_400
+
+    def test_constructed_codes_and_one_server_perturbations(self):
+        rng = random.Random(101)
+        codes = failing = 0
+        for m in range(2, 8):
+            for r in range(m):
+                for k in range(1, m - r + 1):
+                    for n in range(k, 16):
+                        p = CodeParams(n, k, m, r)
+                        try:
+                            code, _ = construct_optimal(p)
+                        except NoKnownConstruction:
+                            continue
+                        assert not assert_reports_match_references(code, p)
+                        cols = [set(col) for col in code.columns]
+                        cols[rng.randrange(n)] ^= {rng.randint(1, m)}
+                        perturbed = BatchCode(m, cols)
+                        failing += assert_reports_match_references(perturbed, p)
+                        codes += 1
+        assert codes > 1_000
+        assert 300 < failing < codes
+
+    def test_row_containment_accepts_the_large_n_code(self):
+        p = CodeParams(800, 4, 10, 2)
+        report = verify(construct_large_n(p), p, "row-containment")
+        assert report == VerifyReport(True, "row-containment")
