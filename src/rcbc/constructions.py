@@ -9,12 +9,11 @@ columns up to a counted capacity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, cycle, islice
 
 from . import search
 from .core import BatchCode, CodeParams, canonicalize, validate_params, verify, weight
-from .core import _contained_counts, _masks
+from .core import _contained_counts, _masks, _Value
 
 __all__ = [
     "NoKnownConstruction",
@@ -174,8 +173,7 @@ def construct_gap(p: CodeParams, base: BatchCode) -> BatchCode:
     return extend_with_columns(partial, p, p.n - x)
 
 
-@dataclass(frozen=True)
-class RegimePrediction:
+class RegimePrediction(_Value):
     """A weight formula's verdict: the optimal weight and its regime tag.
 
     A known prediction is proven optimal.  `budget_limited` marks an unknown
@@ -185,7 +183,12 @@ class RegimePrediction:
 
     value: int | None
     regime: str | None
-    budget_limited: bool = False
+    budget_limited: bool
+
+    def __init__(
+        self, value: int | None, regime: str | None, budget_limited: bool = False
+    ) -> None:
+        self.__dict__.update(value=value, regime=regime, budget_limited=budget_limited)
 
     @property
     def known(self) -> bool:

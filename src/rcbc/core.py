@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Literal
 
 __all__ = [
@@ -46,8 +46,35 @@ class ParameterError(ValueError):
     """No code exists for the given (n, k, m, r)."""
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class _Value:
+    """Immutable record that compares, hashes and prints by the fields its
+    subclass annotates.  The subclass's own __init__ writes them into
+    self.__dict__; unlike a frozen dataclass, nothing is generated at import."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CodeParams(_Value):
     """Problem parameters: n files, batch size k, m servers, redundancy r.
 
     One file per server is taken when serving a batch.  A code exists
@@ -59,9 +86,10 @@ class CodeParams:
     m: int
     r: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.k < 1 or self.m < 1 or self.r < 0:
-            raise ValueError(f"nonsensical parameters {self.as_tuple()}")
+    def __init__(self, n: int, k: int, m: int, r: int) -> None:
+        if n < 0 or k < 1 or m < 1 or r < 0:
+            raise ValueError(f"nonsensical parameters {(n, k, m, r)}")
+        self.__dict__.update(n=n, k=k, m=m, r=r)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n, self.k, self.m, self.r)
@@ -78,8 +106,7 @@ def validate_params(p: CodeParams) -> None:
         raise ParameterError(f"k={p.k} exceeds n={p.n}; a batch repeats no file")
 
 
-@dataclass(frozen=True)
-class BatchCode:
+class BatchCode(_Value):
     """A placement, held column-wise as an ordered multiset of server sets.
 
     Column j lists the servers (1-based) holding file j.  Duplicate columns
@@ -90,14 +117,14 @@ class BatchCode:
     m: int
     columns: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"need at least one server, got m={self.m}")
-        columns = tuple(tuple(sorted(set(col))) for col in self.columns)
+    def __init__(self, m: int, columns: Iterable[Iterable[int]]) -> None:
+        if m < 1:
+            raise ValueError(f"need at least one server, got m={m}")
+        columns = tuple(tuple(sorted(set(col))) for col in columns)
         for c in columns:
-            if c and (c[0] < 1 or c[-1] > self.m):
-                raise ValueError(f"column {c} is not within servers 1..{self.m}")
-        object.__setattr__(self, "columns", columns)
+            if c and (c[0] < 1 or c[-1] > m):
+                raise ValueError(f"column {c} is not within servers 1..{m}")
+        self.__dict__.update(m=m, columns=columns)
 
     @property
     def n(self) -> int:
@@ -120,12 +147,14 @@ def canonicalize(code: BatchCode) -> BatchCode:
     return BatchCode(code.m, sorted(code.columns))
 
 
-@dataclass(frozen=True)
-class CardinalityProfile:
+class CardinalityProfile(_Value):
     """Histogram of column cardinalities relative to the [r+1, r+k] band."""
 
     band: dict[int, int]  # every cardinality r+1 .. r+k, zeros included
     out_of_band: dict[int, int]  # other cardinalities actually present
+
+    def __init__(self, band: dict[int, int], out_of_band: dict[int, int]) -> None:
+        self.__dict__.update(band=band, out_of_band=out_of_band)
 
     @property
     def total(self) -> int:
@@ -150,12 +179,14 @@ def cardinality_profile(code: BatchCode, p: CodeParams) -> CardinalityProfile:
 # Verification
 
 
-@dataclass(frozen=True)
-class ColumnUnionWitness:
+class ColumnUnionWitness(_Value):
     """Columns whose joint server span is too small: |span| < r + |columns|."""
 
     columns: tuple[int, ...]  # 1-based file indices
     span: tuple[int, ...]  # the servers those columns cover
+
+    def __init__(self, columns: tuple[int, ...], span: tuple[int, ...]) -> None:
+        self.__dict__.update(columns=columns, span=span)
 
     def confirms(self, code: BatchCode, p: CodeParams) -> bool:
         union: set[int] = set()
@@ -164,12 +195,14 @@ class ColumnUnionWitness:
         return union == set(self.span) and len(union) < p.r + len(self.columns)
 
 
-@dataclass(frozen=True)
-class RowContainmentWitness:
+class RowContainmentWitness(_Value):
     """A server set holding more than |rows| - r whole columns."""
 
     rows: tuple[int, ...]  # 1-based server indices
     columns: tuple[int, ...]  # the files entirely inside those servers
+
+    def __init__(self, rows: tuple[int, ...], columns: tuple[int, ...]) -> None:
+        self.__dict__.update(rows=rows, columns=columns)
 
     def confirms(self, code: BatchCode, p: CodeParams) -> bool:
         rows = set(self.rows)
@@ -179,13 +212,18 @@ class RowContainmentWitness:
         return contained == self.columns and len(contained) > len(rows) - p.r
 
 
-@dataclass(frozen=True)
-class ServiceWitness:
+class ServiceWitness(_Value):
     """A demand / availability pair that admits no one-file-per-server match."""
 
     demand: tuple[int, ...]
     available: tuple[int, ...]
     hall_set: tuple[int, ...]  # demanded files whose joint availability is short
+
+    def __init__(
+        self, demand: tuple[int, ...], available: tuple[int, ...],
+        hall_set: tuple[int, ...],
+    ) -> None:
+        self.__dict__.update(demand=demand, available=available, hall_set=hall_set)
 
     def confirms(self, code: BatchCode, p: CodeParams) -> bool:
         avail = set(self.available)
@@ -198,11 +236,16 @@ class ServiceWitness:
 Witness = ColumnUnionWitness | RowContainmentWitness | ServiceWitness
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Value):
+    """The verdict of one verify strategy.  On failure, `witness` names the
+    violation, and `witness.confirms(code, p)` checks it independently."""
+
     ok: bool
     strategy: str
-    witness: Witness | None = None
+    witness: Witness | None
+
+    def __init__(self, ok: bool, strategy: str, witness: Witness | None = None) -> None:
+        self.__dict__.update(ok=ok, strategy=strategy, witness=witness)
 
 
 class StrategyDisagreement(RuntimeError):

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
-from .core import BatchCode
+from .core import BatchCode, _Value
 from .matrixio import read_records
 from .search import DEFAULT_BUDGET, BudgetExhausted, Meter, SearchBudget, SearchResult
 
@@ -36,25 +36,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(_Value):
     """An undirected graph on vertices 1..vertices; no loops, no multi-edges."""
 
     vertices: int
     edges: tuple[tuple[int, int], ...]  # sorted pairs, sorted lexicographically
 
-    def __post_init__(self) -> None:
-        vertices = self.vertices
+    def __init__(self, vertices: int, edges: Iterable[tuple[int, int]]) -> None:
         if vertices < 1:
             raise ValueError(f"need at least one vertex, got {vertices}")
         norm = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (1 <= u <= vertices and 1 <= v <= vertices):
                 raise ValueError(f"edge ({u}, {v}) not within vertices 1..{vertices}")
             norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        self.__dict__.update(vertices=vertices, edges=tuple(sorted(norm)))
 
     @property
     def edge_count(self) -> int:

@@ -41,11 +41,10 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Literal
 
-from .core import BatchCode, CodeParams, _check_serviceability, validate_params
+from .core import BatchCode, CodeParams, _check_serviceability, _Value, validate_params
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -58,29 +57,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Value):
     """Node and wall-clock caps for a search; positive, with inf for no cap.
 
     A search stops as it counts its node_limit-th node, so one that needs
     exactly N nodes reports exact=False under node_limit=N.
     """
 
-    node_limit: int = 20_000_000
-    time_limit: float = 600.0
+    node_limit: int
+    time_limit: float
 
-    def __post_init__(self) -> None:
-        if not self.node_limit > 0:
-            raise ValueError(f"node_limit must be positive, got {self.node_limit}")
-        if not self.time_limit > 0:
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
+    def __init__(self, node_limit: int = 20_000_000, time_limit: float = 600.0) -> None:
+        if not node_limit > 0:
+            raise ValueError(f"node_limit must be positive, got {node_limit}")
+        if not time_limit > 0:
+            raise ValueError(f"time_limit must be positive, got {time_limit}")
+        self.__dict__.update(node_limit=node_limit, time_limit=time_limit)
 
 
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Value):
     """Outcome of a search.
 
     With exact=True, `value` is the quantity searched for and `witness` (when
@@ -92,7 +90,12 @@ class SearchResult:
     value: int | None
     witness: BatchCode | None
     exact: bool
-    nodes: int = 0
+    nodes: int
+
+    def __init__(
+        self, value: int | None, witness: BatchCode | None, exact: bool, nodes: int = 0
+    ) -> None:
+        self.__dict__.update(value=value, witness=witness, exact=exact, nodes=nodes)
 
     @property
     def bound(self) -> Literal["exact", "lower"]:
