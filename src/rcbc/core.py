@@ -47,31 +47,26 @@ class ParameterError(ValueError):
 
 
 class _Value:
-    """Immutable record that compares, hashes and prints by the fields its
-    subclass annotates.  The subclass's own __init__ writes them into
-    self.__dict__; unlike a frozen dataclass, nothing is generated at import."""
+    """Immutable record that compares, hashes and prints by its annotated fields."""
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__annotations__)
-        cls._key = attrgetter(*cls._fields)
+        cls._key = attrgetter(*cls.__annotations__)  # its __init__ fills __dict__
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is type(self):
-            return self._key(self) == other._key(other)
-        return NotImplemented
+        same = type(other) is type(self)
+        return self._key(self) == other._key(other) if same else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__annotations__)
         return f"{type(self).__qualname__}({args})"
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    __delattr__ = __setattr__
 
 
 class CodeParams(_Value):
@@ -219,10 +214,7 @@ class ServiceWitness(_Value):
     available: tuple[int, ...]
     hall_set: tuple[int, ...]  # demanded files whose joint availability is short
 
-    def __init__(
-        self, demand: tuple[int, ...], available: tuple[int, ...],
-        hall_set: tuple[int, ...],
-    ) -> None:
+    def __init__(self, demand: tuple, available: tuple, hall_set: tuple) -> None:
         self.__dict__.update(demand=demand, available=available, hall_set=hall_set)
 
     def confirms(self, code: BatchCode, p: CodeParams) -> bool:
@@ -237,8 +229,7 @@ Witness = ColumnUnionWitness | RowContainmentWitness | ServiceWitness
 
 
 class VerifyReport(_Value):
-    """The verdict of one verify strategy.  On failure, `witness` names the
-    violation, and `witness.confirms(code, p)` checks it independently."""
+    """One strategy's verdict; on failure, a witness that confirms(code, p) checks."""
 
     ok: bool
     strategy: str

@@ -92,18 +92,17 @@ def _augment(
 
 
 def _find_assignment(
-    masks: list[int], demand: Iterable[int], avail: int,
-    owner: dict | None = None, taken: int = 0,
+    masks: list[int], demand: tuple[int, ...], avail: int
 ) -> dict[int, int] | tuple[int, ...]:
-    """Match files to servers after any prefix matched into `owner` and `taken`;
-    return server bit -> file, or a Hall set.  Augmenting rewires a copy."""
-    owner = {} if owner is None else owner
+    """Match files to servers; return server bit -> file, or a Hall set."""
+    owner: dict[int, int] = {}
+    taken = 0
     for f in demand:
         if free := masks[f - 1] & avail & ~taken:  # the common case, with no call
             bit = free & -free
             owner[bit] = f
         else:
-            owner, seen = dict(owner), [0]  # the caller's matched servers stay
+            seen = [0]
             bit = _augment(masks, avail, owner, taken, f, seen)
             if not bit:
                 # Every visited server is matched; those files plus f jointly
@@ -154,10 +153,9 @@ def _first_unserved(
     """(suffix, Hall set) for the first `left` files from `start` on that
     `avail` cannot serve after a prefix matched into `owner` and `taken`, or
     None.  While the prefix agrees with the best failing demand so far,
-    `limit` is the rest of that demand, and only suffixes up to it run.
+    `limit` is the rest of that demand, and only suffixes before it run.
     """
-    n = len(masks)
-    stop = n - left + 2 if limit is None else limit[0] + (left > 1)
+    stop = len(masks) - left + 2 if limit is None else limit[0] + (left > 1)
     free = avail & ~taken
     for f in range(start, stop):
         if b := masks[f - 1] & free:
@@ -175,14 +173,6 @@ def _first_unserved(
                 return tuple(range(f, f + left)), tuple(sorted(hall))
             if left == 1:
                 continue
-        if f + left > n and left > 2:
-            # One suffix of two or more files below f: match it in one pass.
-            # A one-file rest costs the call below only a free-server test.
-            suffix = range(f, n + 1)
-            hall = _find_assignment(masks, suffix[1:], avail, mine, taken | bit)
-            if isinstance(hall, tuple):
-                return tuple(suffix), hall
-            continue
         rest = limit[1:] if limit is not None and f == limit[0] else None
         found = _first_unserved(masks, avail, mine, taken | bit, f + 1, left - 1, rest)
         if found:

@@ -449,34 +449,3 @@ class TestReferenceSweeps:
         p = CodeParams(800, 4, 10, 2)
         report = verify(construct_large_n(p), p, "row-containment")
         assert report == VerifyReport(True, "row-containment")
-
-    def test_near_k_codes(self):
-        # n <= k + 2: most prefix-tree nodes have a single demand below them,
-        # which the sweep matches in one pass instead of file by file.
-        rng = random.Random(103)
-        codes = failing = 0
-        for m in range(2, 9):
-            for r in range(m):
-                for k in range(1, m - r + 1):
-                    for n in range(k, k + 3):
-                        p = CodeParams(n, k, m, r)
-                        try:
-                            built = [construct_optimal(p)[0]]
-                        except NoKnownConstruction:
-                            built = []
-                        for _ in range(3):
-                            top = min(r + k, m)
-                            built.append(BatchCode(m, [
-                                rng.sample(range(1, m + 1), rng.randint(1, top))
-                                for _ in range(n)
-                            ]))
-                        for code in built[:]:
-                            cols = [set(col) for col in code.columns]
-                            cols[rng.randrange(n)] ^= {rng.randint(1, m)}
-                            cols[rng.randrange(n)] = cols[rng.randrange(n)]
-                            built.append(BatchCode(m, cols))
-                        for code in built:
-                            failing += assert_reports_match_references(code, p)
-                            codes += 1
-        assert codes > 2_500
-        assert 1_000 < failing < 2_200
