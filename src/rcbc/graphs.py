@@ -15,13 +15,16 @@ Blank lines and '#' comments are ignored, as in the matrix format.
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
 from itertools import combinations
 from typing import Iterable
 
 from .core import BatchCode, _Value
 from .matrixio import read_records
-from .search import DEFAULT_BUDGET, BudgetExhausted, Meter, SearchBudget, SearchResult
+from .search import (
+    DEFAULT_BUDGET, BudgetExhausted, SearchBudget, SearchResult, checkpoint
+)
 
 __all__ = [
     "GraphFormatError",
@@ -148,9 +151,8 @@ def max_edges_with_girth(
     budget = budget or DEFAULT_BUDGET
     all_edges = list(combinations(range(1, m + 1), 2))
     steps = range(girth_min - 2)
-    meter = Meter(budget)
-    nodes = 0
-    check_at = meter.check_at
+    node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
+    nodes = check_at = 0
     adj = [0] * (m + 1)  # neighbour bitmask of each vertex
     cap = m - 1  # degree of vertex 1, which no other vertex may exceed
     chosen: list[tuple[int, int]] = []
@@ -169,7 +171,7 @@ def max_edges_with_girth(
             idx += 1
             nodes += 1
             if nodes >= check_at:
-                check_at = meter.add(nodes - meter.nodes)
+                check_at = checkpoint(nodes, check_at, node_limit, deadline)
             if adj[u].bit_count() == cap or adj[v].bit_count() == cap:
                 continue
             # Frontier BFS from u over bitmasks: v must not be reached
@@ -209,16 +211,15 @@ def max_edges_with_girth(
         while m * cap // 2 > best:
             nodes += 1
             if nodes >= check_at:
-                check_at = meter.add(nodes - meter.nodes)
+                check_at = checkpoint(nodes, check_at, node_limit, deadline)
             descend(m - 1)
             v = cap + 1
             adj[1] ^= 1 << v
             adj[v] = 0
             chosen.pop()
             cap -= 1
-    except BudgetExhausted:
-        exact = False
-        nodes = meter.nodes
+    except BudgetExhausted as stop:
+        exact, nodes = False, stop.args[0]
     witness = code_from_graph(SimpleGraph(m, best_edges))
     return SearchResult(best, witness, exact, nodes)
 

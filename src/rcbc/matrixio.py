@@ -57,12 +57,13 @@ def parse_matrix(text: str) -> BatchCode:
         raise MatrixFormatError(f"expected {m} rows, found {len(rows)}", last)
     if len(rows) > m:
         raise MatrixFormatError("unexpected content after last row", rows[m][0])
-    columns: list[set[int]] = [set() for _ in range(n)]
+    columns: list[set[int]] = []  # sized once a row has the header's length
     for i, (num, row) in enumerate(rows, start=1):
         if len(row) != n:
             raise MatrixFormatError(
                 f"row has {len(row)} characters, expected {n}", num
             )
+        columns = columns or [set() for _ in range(n)]
         for j, ch in enumerate(row, start=1):
             if ch == "1":
                 columns[j - 1].add(i)

@@ -11,9 +11,9 @@ The depth-first searches carry a bitmask of the candidates that no longer
 fit (some subset they touch is full) and jump straight to the next one that
 does.  Pruning is a precomputed candidate index past which no extension can
 beat the best found.  A node is one candidate considered, whether it fits or
-not.  Each search keeps a running count and hands it to Meter.add at
-checkpoints, so the unfit candidates jumped over are counted in bulk and the
-budget stops a search at the same node as a one-by-one count.
+not.  Each search keeps one running count and calls `checkpoint` when it
+reaches the pending checkpoint, so the unfit candidates jumped over are
+counted in bulk and the budget stops a search where a one-by-one count would.
 
 exact_min_weight also bounds the weight of every code completing a placed
 candidate, by counting the room left in the (r+k-1)-subsets and the
@@ -70,6 +70,8 @@ class SearchBudget(_Value):
     def __init__(self, node_limit: int = 20_000_000, time_limit: float = 600.0) -> None:
         if not node_limit > 0:
             raise ValueError(f"node_limit must be positive, got {node_limit}")
+        if node_limit < math.inf and node_limit % 1:
+            raise ValueError(f"node_limit must be a whole number, got {node_limit}")
         if not time_limit > 0:
             raise ValueError(f"time_limit must be positive, got {time_limit}")
         self.__dict__.update(node_limit=node_limit, time_limit=time_limit)
@@ -107,37 +109,23 @@ class SearchResult(_Value):
 
 
 class BudgetExhausted(Exception):
-    """Raised by Meter once the search budget is spent."""
+    """Raised by checkpoint; args[0] is the node count where the search stopped."""
 
 
-class Meter:
-    """Counts search nodes and enforces the budget.
+def checkpoint(nodes: int, check_at: int, node_limit: int, deadline: float) -> int:
+    """Return the next checkpoint once a search's node count reaches check_at.
 
-    A node is one candidate considered, whether it fits or not.  Checkpoints
-    fall at every multiple of 4096 nodes and at the node limit; at each one
-    BudgetExhausted is raised if the node limit is reached or the time limit
-    has passed.  add(count) counts `count` nodes and stops at exactly the
-    checkpoint where counting them one by one would.  It returns the next
-    checkpoint, so a search keeps its own running count and calls add() only
-    when that count reaches it; once stopped, `nodes` is where it stopped,
-    and the node at the limit is not handled.
+    A search starts at check_at = 0, which never stops it.  Checkpoints fall
+    at every multiple of 4096 nodes and at node_limit.  At each one up to
+    `nodes`, in order, the search stops with BudgetExhausted(checkpoint) if
+    it is node_limit or the time.monotonic() `deadline` has passed: where a
+    one-by-one count would stop, before the node at the limit is handled.
     """
-
-    def __init__(self, budget: SearchBudget) -> None:
-        self.nodes = 0
-        self.limit = budget.node_limit
-        self.deadline = time.monotonic() + budget.time_limit
-        self.check_at = min(self.limit, 4096)
-
-    def add(self, count: int) -> int:
-        nodes = self.nodes + count
-        while nodes >= self.check_at:
-            self.nodes = self.check_at
-            if self.nodes >= self.limit or time.monotonic() > self.deadline:
-                raise BudgetExhausted
-            self.check_at = min(self.limit, self.nodes + 4096)
-        self.nodes = nodes
-        return self.check_at
+    while nodes >= check_at:
+        if check_at >= node_limit or (check_at and time.monotonic() > deadline):
+            raise BudgetExhausted(check_at)
+        check_at = min(node_limit, check_at + 4096)
+    return check_at
 
 
 class _Placement:
@@ -292,9 +280,9 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     state = _Placement(m, k, r, cols)
     place, remove = state.place, state.remove
     symmetry = _Cells(m, cols)
-    meter = Meter(budget or DEFAULT_BUDGET)
-    nodes = 0
-    check_at = meter.check_at
+    budget = budget or DEFAULT_BUDGET
+    node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
+    nodes = check_at = 0
     best: list[int] | None = None
     chosen: list[int] = []
 
@@ -321,7 +309,7 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
             if skipped:  # candidates that are not canonical are not nodes
                 nodes -= (skipped >> j & ~(-1 << end - j)).bit_count()
             if nodes >= check_at:
-                check_at = meter.add(nodes - meter.nodes)
+                check_at = checkpoint(nodes, check_at, node_limit, deadline)
             if fit >= stop:
                 return
             # Place, then descend unless the bound rules out every completion.
@@ -337,9 +325,9 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
 
     try:
         descend(0, 0, n, 0, room0, symmetry.root)
-    except BudgetExhausted:
+    except BudgetExhausted as stop:
         witness = BatchCode(m, [cols[j] for j in best]) if best is not None else None
-        return SearchResult(root_floor, witness, False, meter.nodes)
+        return SearchResult(root_floor, witness, False, stop.args[0])
     assert best is not None  # all-(r+k)-cardinality multisets are always codes
     witness = BatchCode(m, [cols[j] for j in best])
     return SearchResult(best_weight, witness, True, nodes)
@@ -378,9 +366,9 @@ def uniform_packing_max(
     # pruning starts while the best leads by v.
     copies = cardinality - r
     first_at_most = [len(cols) - v // copies for v in range(len(cols) * copies + 1)]
-    meter = Meter(budget or DEFAULT_BUDGET)
-    nodes = 0
-    check_at = meter.check_at
+    budget = budget or DEFAULT_BUDGET
+    node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
+    nodes = check_at = 0
     best = 0
     best_cols: list[int] = []
     chosen: list[int] = []
@@ -408,7 +396,7 @@ def uniform_packing_max(
             if skipped:  # candidates that are not canonical are not nodes
                 nodes -= (skipped >> j & ~(-1 << end - j)).bit_count()
             if nodes >= check_at:
-                check_at = meter.add(nodes - meter.nodes)
+                check_at = checkpoint(nodes, check_at, node_limit, deadline)
             if fit >= stop:
                 return
             chosen.append(fit)
@@ -420,9 +408,8 @@ def uniform_packing_max(
     exact = True
     try:
         descend(0, 0, symmetry.root)
-    except BudgetExhausted:
-        exact = False
-        nodes = meter.nodes
+    except BudgetExhausted as stop:
+        exact, nodes = False, stop.args[0]
     witness = BatchCode(m, [cols[j] for j in best_cols])
     return SearchResult(best, witness, exact, nodes)
 

@@ -348,6 +348,14 @@ class TestOptimal:
         assert "# exact: no" in out
         assert "# weight-lower-bound: 20" in out
 
+    def test_time_limit_exhausted(self, capsys):
+        code, out, _ = run(
+            capsys, "optimal", "--params", "30,4,7,1", "--time-limit", "1e-9"
+        )
+        assert code == 3
+        assert "# weight-lower-bound: 69" in out
+        assert "# nodes: 4096" in out
+
     def test_nan_time_limit_rejected(self, capsys):
         code, out, err = run(
             capsys, "optimal", "--params", "10,3,6,1", "--time-limit", "nan"

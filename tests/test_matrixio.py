@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -79,6 +80,19 @@ class TestParse:
             parse_matrix("2 3\n101\n01\n")
         assert "expected 3" in str(info.value)
         assert info.value.line == 3
+
+    def test_short_row_allocates_nothing_for_the_header_width(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                MatrixFormatError,
+                match=r"^row has 1 characters, expected 200000 \(line 2\)$",
+            ):
+                parse_matrix("1 200000\n0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_illegal_character_pinpointed(self):
         with pytest.raises(MatrixFormatError) as info:

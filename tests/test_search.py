@@ -18,13 +18,14 @@ from rcbc import (
     cross_check,
     exact_min_weight,
     gap_base_max,
+    max_edges_with_girth,
     predicted_weight,
     trivial_weight_max,
     uniform_packing_max,
     verify,
     weight,
 )
-from rcbc.search import BudgetExhausted, Meter, _Cells
+from rcbc.search import BudgetExhausted, _Cells, checkpoint
 from helpers import (
     _RefExhausted,
     _RefMeter,
@@ -66,6 +67,20 @@ class TestBudget:
         result = exact_min_weight(CodeParams(20, 3, 5, 1), budget)
         assert (result.value, result.exact) == (60, True)
 
+    @pytest.mark.parametrize(
+        "search, expected",
+        [
+            (lambda b: exact_min_weight(CodeParams(30, 4, 7, 1), b),
+             (69, False, 4_096)),
+            (lambda b: gap_base_max(4, 10, 2, b), (73, False, 4_096)),
+            (lambda b: max_edges_with_girth(12, 5, b), (13, False, 4_096)),
+        ],
+    )
+    def test_time_limit_stops_at_first_checkpoint(self, search, expected):
+        # The deadline has passed by the first checkpoint, at node 4096.
+        result = search(SearchBudget(time_limit=1e-9))
+        assert (result.value, result.exact, result.nodes) == expected
+
     def test_unbounded_flag(self):
         assert SearchResult(None, None, True).unbounded
         assert not SearchResult(3, None, True).unbounded
@@ -77,7 +92,8 @@ class TestBudget:
 
 
 class TestMeter:
-    """add(count) must stop where `count` one-by-one reference ticks stop."""
+    """checkpoint(start + count, ...) must stop where `count` one-by-one
+    reference ticks stop."""
 
     @pytest.mark.parametrize("expired", [False, True])
     @pytest.mark.parametrize(
@@ -95,17 +111,18 @@ class TestMeter:
     )
     def test_add_matches_ticks(self, limit, start, count, expired):
         budget = SearchBudget(node_limit=limit)
-        meter, ref = Meter(budget), _RefMeter(budget)
-        meter.add(start)
+        ref = _RefMeter(budget)
+        deadline = ref.deadline
+        check_at = checkpoint(start, 0, limit, deadline)
         for _ in range(start):
             ref.tick()
         if expired:
-            meter.deadline = ref.deadline = time.monotonic() - 1.0
+            deadline = ref.deadline = time.monotonic() - 1.0
         stop = ref_stop = None
         try:
-            meter.add(count)
-        except BudgetExhausted:
-            stop = meter.nodes
+            check_at = checkpoint(start + count, check_at, limit, deadline)
+        except BudgetExhausted as exhausted:
+            stop = exhausted.args[0]
         try:
             for _ in range(count):
                 ref.tick()
@@ -113,8 +130,8 @@ class TestMeter:
             ref_stop = ref.nodes
         assert stop == ref_stop
         if stop is None:
-            assert meter.nodes == ref.nodes == start + count
-            assert meter.check_at == min(limit, 4_096 * (meter.nodes // 4_096 + 1))
+            assert ref.nodes == start + count
+            assert check_at == min(limit, 4_096 * ((start + count) // 4_096 + 1))
         if expired and start + count >= 4_096 * (start // 4_096 + 1):
             assert stop is not None  # the time check did run
 

@@ -165,6 +165,10 @@ def test_simple_graph_normalisation():
         (lambda: BatchCode(3, [(0, 2)]), "column (0, 2) is not within servers 1..3"),
         (lambda: SearchBudget(0), "node_limit must be positive, got 0"),
         (lambda: SearchBudget(node_limit=-5), "node_limit must be positive, got -5"),
+        (lambda: SearchBudget(node_limit=2.5),
+         "node_limit must be a whole number, got 2.5"),
+        (lambda: SearchBudget(node_limit=0.5),
+         "node_limit must be a whole number, got 0.5"),
         (lambda: SearchBudget(time_limit=0.0), "time_limit must be positive, got 0.0"),
         (lambda: SearchBudget(time_limit=float("nan")),
          "time_limit must be positive, got nan"),
