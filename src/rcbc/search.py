@@ -74,6 +74,7 @@ class SearchBudget(_Value):
             raise ValueError(f"node_limit must be a whole number, got {node_limit}")
         if not time_limit > 0:
             raise ValueError(f"time_limit must be positive, got {time_limit}")
+        node_limit = int(node_limit) if node_limit < math.inf else node_limit
         self.__dict__.update(node_limit=node_limit, time_limit=time_limit)
 
 

@@ -8,6 +8,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from rcbc import (
     BatchCode,
@@ -25,7 +26,7 @@ from rcbc import (
     plan_retrieval,
     verify,
 )
-from rcbc.core import _check_dimensions, _check_serviceability, _masks
+from rcbc.core import _check_dimensions, _check_serviceability, _masks, _Value
 from rcbc.retrieval import _find_assignment
 
 # Reference placements, transcribed as matrix text so the parser is on the
@@ -686,3 +687,107 @@ def construct_from_design(design: PackingDesign, p: CodeParams) -> BatchCode:
     everything = set(range(1, p.m + 1))
     cols = [tuple(sorted(everything - set(b))) for b in design.blocks]
     return BatchCode(p.m, cols)
+
+
+# ---------------------------------------------------------------------------
+# Weight-preserving transforms and the cardinality profile: the paper's type
+# lemma and its column moves are proof tools, which no library or CLI path
+# uses, kept as lemma checks on the codes the library builds.
+
+
+def move_ones(code: BatchCode, i: int, j: int, moved: Iterable[int]) -> BatchCode:
+    """Shift the servers in `moved` from column j to column i.
+
+    Requires column i to be a proper subset of column j and `moved` to be a
+    nonempty subset of their difference.  The result serves every batch the
+    original did, at the same total weight.
+    """
+    a_i = set(code.column(i))
+    a_j = set(code.column(j))
+    r_set = set(moved)
+    if i == j:
+        raise ValueError("columns i and j must differ")
+    if not a_i < a_j:
+        raise ValueError(f"column {i} is not a proper subset of column {j}")
+    if not r_set:
+        raise ValueError("moved server set is empty")
+    if not r_set <= a_j - a_i:
+        raise ValueError(
+            f"moved servers {sorted(r_set)} are not all in the difference "
+            f"{sorted(a_j - a_i)}"
+        )
+    cols = list(code.columns)
+    cols[i - 1] = tuple(sorted(a_i | r_set))
+    cols[j - 1] = tuple(sorted(a_j - r_set))
+    return BatchCode(code.m, cols)
+
+
+def _smallest_superset(col: tuple[int, ...], size: int, m: int) -> tuple[int, ...]:
+    # Lexicographically smallest `size`-superset of col within 1..m.
+    have = set(col)
+    extra = [v for v in range(1, m + 1) if v not in have]
+    return tuple(sorted(col + tuple(extra[: size - len(col)])))
+
+
+def normalize_types(code: BatchCode, p: CodeParams) -> BatchCode:
+    """Rework column cardinalities into one of the two extremal shapes.
+
+    Type (i): every cardinality in [r+1, r+k-1].  Type (ii): every
+    cardinality in {r+k-1, r+k}.  Requires a verifying code whose columns
+    already sit in [r+1, r+k]; weight and verification are preserved.  Codes
+    with no column at r+k, or none below r+k-1, come back unchanged.
+
+    Each round rewrites one cardinality-(r+k) column (any such column can be
+    swapped for any other of the same cardinality without losing the service
+    property) and then moves servers from it onto the first short column,
+    lifting that column to cardinality r+k-1.
+    """
+    _check_dimensions(code, p)
+    low, high = p.r + 1, p.r + p.k
+    for col in code.columns:
+        if not low <= len(col) <= high:
+            raise ValueError(
+                f"column cardinality {len(col)} outside [{low}, {high}]"
+            )
+    if not verify(code, p).ok:
+        raise ValueError("code does not verify; refusing to transform")
+    cols = [tuple(c) for c in code.columns]
+    while True:
+        smalls = [idx for idx, c in enumerate(cols) if len(c) <= high - 2]
+        bigs = [idx for idx, c in enumerate(cols) if len(c) == high]
+        if not smalls or not bigs:
+            return BatchCode(code.m, cols)
+        i, j = smalls[0], bigs[0]
+        small = cols[i]
+        target = _smallest_superset(small, high, code.m)
+        moved = [v for v in target if v not in small][: high - 1 - len(small)]
+        cols[i] = tuple(sorted(small + tuple(moved)))
+        cols[j] = tuple(v for v in target if v not in moved)
+
+
+class CardinalityProfile(_Value):
+    """Histogram of column cardinalities relative to the [r+1, r+k] band."""
+
+    band: dict[int, int]  # every cardinality r+1 .. r+k, zeros included
+    out_of_band: dict[int, int]  # other cardinalities actually present
+
+    def __init__(self, band: dict[int, int], out_of_band: dict[int, int]) -> None:
+        self.__dict__.update(band=band, out_of_band=out_of_band)
+
+    @property
+    def total(self) -> int:
+        return sum(self.band.values()) + sum(self.out_of_band.values())
+
+
+def cardinality_profile(code: BatchCode, p: CodeParams) -> CardinalityProfile:
+    """Count columns of each cardinality; optimal codes stay inside the band."""
+    _check_dimensions(code, p)
+    band = {i: 0 for i in range(p.r + 1, p.r + p.k + 1)}
+    out: dict[int, int] = {}
+    for col in code.columns:
+        c = len(col)
+        if c in band:
+            band[c] += 1
+        else:
+            out[c] = out.get(c, 0) + 1
+    return CardinalityProfile(band=band, out_of_band=out)

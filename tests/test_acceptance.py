@@ -15,7 +15,6 @@ from itertools import combinations
 from rcbc import (
     BatchCode,
     CodeParams,
-    cardinality_profile,
     code_from_graph,
     construct_circulant,
     construct_gap,
@@ -24,8 +23,6 @@ from rcbc import (
     exact_min_weight,
     gap_base_max,
     girth,
-    move_ones,
-    normalize_types,
     plan_retrieval,
     predicted_weight,
     trivial_weight_max,
@@ -38,8 +35,11 @@ from helpers import (
     MAX_BATCH_PARAMS,
     TALL_PARAMS,
     all_matrices,
+    cardinality_profile,
     many_files_code,
     max_batch_code,
+    move_ones,
+    normalize_types,
     random_accepted_code,
     random_matrix,
     tall_code,

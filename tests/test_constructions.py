@@ -13,7 +13,6 @@ from rcbc import (
     ParameterError,
     SearchBudget,
     canonicalize,
-    cardinality_profile,
     construct_circulant,
     construct_gap,
     construct_large_n,
@@ -31,6 +30,7 @@ from helpers import (
     TALL_PARAMS,
     PackingDesign,
     brute_max_extension,
+    cardinality_profile,
     complete_packing_design,
     construct_from_design,
     max_batch_code,

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import rcbc
 from rcbc import (
     BatchCode,
     CodeParams,
@@ -16,12 +17,9 @@ from rcbc import (
     ServiceWitness,
     VerifyReport,
     canonicalize,
-    cardinality_profile,
     construct_large_n,
     construct_optimal,
     cross_check,
-    move_ones,
-    normalize_types,
     validate_params,
     verify,
     weight,
@@ -30,8 +28,11 @@ from helpers import (
     MANY_FILES_PARAMS,
     TALL_PARAMS,
     all_matrices,
+    cardinality_profile,
     many_files_code,
     max_batch_code,
+    move_ones,
+    normalize_types,
     random_accepted_code,
     random_banded_code,
     random_matrix,
@@ -327,6 +328,16 @@ class TestMoveOnes:
             assert weight(out) == weight(code)
             assert verify(out, p).ok
             done += 1
+
+
+def test_proof_transforms_are_not_in_the_library():
+    # The type lemma's transforms and the profile live in tests/helpers.py.
+    moved = ("normalize_types", "move_ones", "_smallest_superset",
+             "cardinality_profile", "CardinalityProfile")
+    for name in moved:
+        assert not hasattr(rcbc, name), name
+        assert not hasattr(rcbc.core, name), name
+    assert len(rcbc.__all__) == 46
 
 
 class TestNormalizeTypes:

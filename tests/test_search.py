@@ -30,6 +30,7 @@ from helpers import (
     _RefExhausted,
     _RefMeter,
     brute_min_weight,
+    cardinality_profile,
     reference_exact_min_weight,
     reference_uniform_packing_max,
     valid_kr_pairs,
@@ -80,6 +81,16 @@ class TestBudget:
         # The deadline has passed by the first checkpoint, at node 4096.
         result = search(SearchBudget(time_limit=1e-9))
         assert (result.value, result.exact, result.nodes) == expected
+
+    def test_whole_float_limit_counts_in_ints(self):
+        assert type(SearchBudget(node_limit=5000.0).node_limit) is int
+        result = exact_min_weight(CodeParams(30, 4, 7, 1), SearchBudget(5000.0))
+        assert (result.exact, result.nodes) == (False, 5000)
+        assert type(result.nodes) is int
+        budget = SearchBudget(node_limit=4096.0)
+        result = uniform_packing_max(4, 10, 2, 4, budget=budget)
+        assert (result.exact, result.nodes) == (False, 4096)
+        assert type(result.nodes) is int
 
     def test_unbounded_flag(self):
         assert SearchResult(None, None, True).unbounded
@@ -326,8 +337,6 @@ class TestExactMinWeight:
     def test_optimum_profile_mixes_cardinalities(self):
         # At n=8, k=2, m=4, r=1 all six server pairs are used once and the
         # remaining two columns must be triples: 6*2 + 2*3 = 18.
-        from rcbc import cardinality_profile
-
         p = CodeParams(8, 2, 4, 1)
         result = exact_min_weight(p)
         assert cardinality_profile(result.witness, p).band == {2: 6, 3: 2}
