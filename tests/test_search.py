@@ -455,6 +455,55 @@ class TestPinnedSearches:
             (3, 7), (3, 8), (4, 6), (4, 7), (4, 8), (5, 6), (5, 7), (5, 8),
         )
 
+    # Best-so-far witnesses of the capped runs pinned above, taken from the
+    # kernel with `_Placement.place` and `remove`, before the room updates
+    # were inlined into the search loops.
+    @pytest.mark.parametrize(
+        "args, node_limit, columns",
+        [
+            ((4, 10, 2), 300_000, (
+                (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 3, 7),
+                (1, 2, 3, 8), (1, 2, 3, 9), (1, 2, 3, 10), (1, 2, 5, 6), (1, 2, 5, 7),
+                (1, 2, 5, 8), (1, 2, 5, 9), (1, 2, 5, 10), (1, 2, 6, 7), (1, 2, 6, 8),
+                (1, 2, 6, 9), (1, 2, 6, 10), (1, 2, 7, 8), (1, 2, 7, 9), (1, 2, 7, 10),
+                (1, 2, 8, 9), (1, 2, 8, 10), (1, 2, 9, 10), (1, 4, 5, 6), (1, 4, 5, 6),
+                (1, 4, 5, 7), (1, 4, 5, 8), (1, 4, 5, 9), (1, 4, 5, 10), (1, 4, 7, 8),
+                (1, 4, 7, 9), (1, 4, 7, 10), (1, 4, 8, 9), (1, 4, 8, 10),
+                (1, 4, 9, 10), (2, 4, 5, 7), (2, 4, 5, 8), (2, 4, 5, 9), (2, 4, 5, 10),
+                (2, 4, 6, 7), (2, 4, 6, 7), (2, 4, 6, 8), (2, 4, 6, 9), (2, 4, 6, 10),
+                (2, 4, 8, 9), (2, 4, 8, 10), (2, 4, 9, 10), (3, 4, 5, 6), (3, 4, 5, 7),
+                (3, 4, 5, 7), (3, 4, 5, 8), (3, 4, 5, 9), (3, 4, 5, 10), (3, 4, 6, 8),
+                (3, 4, 6, 9), (3, 4, 6, 10), (3, 4, 8, 9), (3, 4, 8, 10),
+                (3, 4, 9, 10), (3, 6, 7, 8), (3, 6, 7, 8), (3, 6, 7, 9), (3, 6, 7, 10),
+                (3, 7, 9, 10), (5, 6, 7, 8), (5, 6, 7, 9), (5, 6, 7, 9), (5, 6, 7, 10),
+                (5, 6, 8, 10), (5, 8, 9, 10), (6, 8, 9, 10), (7, 8, 9, 10),
+                (7, 8, 9, 10),
+            )),
+            ((4, 8, 1), 100_000, (
+                (1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 2, 7),
+                (1, 2, 8), (1, 4, 5), (1, 4, 6), (1, 4, 7), (1, 4, 8), (1, 5, 6),
+                (1, 5, 7), (1, 5, 8), (1, 6, 7), (1, 6, 8), (2, 7, 8), (3, 4, 5),
+                (3, 4, 6), (3, 4, 7), (3, 4, 8), (3, 5, 6), (3, 5, 7), (3, 5, 8),
+                (3, 6, 7), (3, 6, 8), (4, 7, 8), (5, 7, 8), (6, 7, 8),
+            )),
+        ],
+    )
+    def test_capped_gap_base_max_witness(self, args, node_limit, columns):
+        result = gap_base_max(*args, SearchBudget(node_limit=node_limit))
+        assert result.witness.columns == columns
+
+    def test_capped_exact_min_weight(self):
+        result = exact_min_weight(CodeParams(30, 4, 7, 1), SearchBudget(node_limit=50_000))
+        assert (result.value, result.exact, result.nodes) == (69, False, 50_000)
+        assert result.witness.columns == (
+            (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3, 7), (2, 4, 7), (2, 5, 7),
+            (2, 6, 7), (3, 4, 7), (3, 5, 7), (3, 6, 7), (4, 5, 7), (4, 6, 7),
+            (5, 6, 7), (2, 3, 4, 5), (2, 3, 4, 5), (2, 3, 4, 5), (2, 3, 4, 6),
+            (2, 3, 4, 6), (2, 3, 4, 6), (2, 3, 5, 6), (2, 3, 5, 6), (2, 3, 5, 6),
+            (2, 4, 5, 6), (2, 4, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6), (3, 4, 5, 6),
+            (3, 4, 5, 6),
+        )
+
     # Stop points at and around the first time checkpoint (4096 nodes),
     # taken from the per-candidate loop before runs were counted in bulk.
     @pytest.mark.parametrize("node_limit", [4_095, 4_096, 4_097])
