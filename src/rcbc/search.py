@@ -2,10 +2,10 @@
 
 Searches run over multisets of candidate columns in nondecreasing
 (cardinality, lexicographic) order, so every result and witness is
-deterministic.  Feasibility is tracked incrementally by a `_Placement`: for
-each server subset I with r+1 <= |I| <= r+k-1, at most |I| - r columns may
-sit inside I.  A completed multiset passing every counter is exactly a code,
-and columns of cardinality r+k touch no counter at all.
+deterministic.  Feasibility is tracked incrementally by the room tables of
+`_placement`: for each server subset I with r+1 <= |I| <= r+k-1, at most
+|I| - r columns may sit inside I.  A completed multiset passing every counter
+is exactly a code, and columns of cardinality r+k touch no counter at all.
 
 The depth-first searches carry a bitmask of the candidates that no longer
 fit (some subset they touch is full) and jump straight to the next one that
@@ -33,7 +33,8 @@ some column, relabelling that column would give an earlier code.  Each code
 a search records as best is such a first (the first code, then the first one
 better than the last recorded), so an uncapped run records the same codes,
 prunes alike, and returns the same value and witness in a subsequence of the
-nodes of the search without the rule.
+nodes of the search without the rule.  Refining only splits cells, so once
+all cells are single servers uniform_packing_max goes on in a cells-free loop.
 """
 
 from __future__ import annotations
@@ -129,54 +130,34 @@ def checkpoint(nodes: int, check_at: int, node_limit: int, deadline: float) -> i
     return check_at
 
 
-class _Placement:
-    """Room left in every tracked server subset, for candidate columns.
+def _placement(m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> tuple:
+    """Tables (room, touched, blocks) of the room left in every tracked subset.
 
     Tracked subset I (r+1 <= |I| <= r+k-1) starts with room |I| - r.
     Candidate j touches the subsets in touched[j] (those containing it), and
-    blocks[i] has bit j set when candidate j touches subset i.  A search
-    threads an immutable `blocked` bitmask of the candidates that no longer
-    fit: bit j is set once some subset that j touches is full.
+    blocks[i] has bit j set when candidate j touches subset i.  The searches
+    place j in their own loops: one less room[i] for each i in touched[j], and
+    blocks[i] joins their `blocked` mask of unfit candidates where that is 0.
     """
-
-    def __init__(self, m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> None:
-        index: dict[int, int] = {}  # subset bitmask -> position in room
-        self.room: list[int] = []
-        for d in range(r + 1, r + k):
-            for rows in combinations(range(m), d):
-                index[sum(1 << b for b in rows)] = len(self.room)
-                self.room.append(d - r)
-        self.touched: list[tuple[int, ...]] = []
-        self.blocks = [0] * len(self.room)
-        for j, col in enumerate(columns):
-            bits = sum(1 << (s - 1) for s in col)
-            rest = [1 << b for b in range(m) if not bits >> b & 1]
-            touched = tuple(
-                index[bits | sum(add)]
-                for extra in range(r + k - len(col))
-                for add in combinations(rest, extra)
-            )
-            self.touched.append(touched)
-            for i in touched:
-                self.blocks[i] |= 1 << j
-
-    def place(self, j: int, blocked: int) -> int:
-        """Add one copy of candidate j, which must fit under `blocked`.
-
-        Returns `blocked` with the candidates that j has shut out added.
-        """
-        room, blocks = self.room, self.blocks
-        for i in self.touched[j]:
-            room[i] -= 1
-            if not room[i]:
-                blocked |= blocks[i]
-        return blocked
-
-    def remove(self, j: int) -> None:
-        """Undo place(j, ...)."""
-        room = self.room
-        for i in self.touched[j]:
-            room[i] += 1
+    index: dict[int, int] = {}  # subset bitmask -> position in room
+    room: list[int] = []
+    for d in range(r + 1, r + k):
+        for rows in combinations(range(m), d):
+            index[sum(1 << b for b in rows)] = len(room)
+            room.append(d - r)
+    touched: list[tuple[int, ...]] = []
+    blocks = [0] * len(room)
+    for j, col in enumerate(columns):
+        bits = sum(1 << (s - 1) for s in col)
+        rest = [1 << b for b in range(m) if not bits >> b & 1]
+        touched.append(tuple(
+            index[bits | sum(add)]
+            for extra in range(r + k - len(col))
+            for add in combinations(rest, extra)
+        ))
+        for i in touched[j]:
+            blocks[i] |= 1 << j
+    return room, touched, blocks
 
 
 class _Cells:
@@ -208,6 +189,23 @@ class _Cells:
     def refine(self, joined: int, j: int) -> int:
         """Split the cells by the servers of candidate j."""
         return joined & ~(self.masks[j] ^ self.masks[j] >> 1)
+
+
+def _check_limit(limit: int | None) -> None:
+    """Reject a `limit` that is negative or not a whole number."""
+    if limit is not None and not limit >= 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+    if limit is not None and limit % 1:
+        raise ValueError(f"limit must be a whole number, got {limit}")
+
+
+def _witness(m: int, cols: list[tuple[int, ...]], path) -> BatchCode:
+    """The code on a search path of nested (parent, candidate index) pairs."""
+    columns = []
+    while path:
+        path, j = path
+        columns.append(cols[j])
+    return BatchCode(m, columns[::-1])
 
 
 def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> SearchResult:
@@ -278,22 +276,21 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     # Cardinalities are nondecreasing: first_wider[c] is the index of the
     # first candidate of cardinality >= c, where pruning starts.
     first_wider = [bisect_left(cards, c) for c in range(best_weight + 1)]
-    state = _Placement(m, k, r, cols)
-    place, remove = state.place, state.remove
+    rooms, touched, blocks = _placement(m, k, r, cols)
     symmetry = _Cells(m, cols)
     budget = budget or DEFAULT_BUDGET
     node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
     nodes = check_at = 0
-    best: list[int] | None = None
-    chosen: list[int] = []
+    best = None
 
-    def descend(j: int, blocked: int, slots: int, acc: int, room: int, cells) -> None:
+    def descend(
+        j: int, blocked: int, slots: int, acc: int, room: int, cells: int, path
+    ) -> None:
         """Fill `slots` more from canonical candidates j, j+1, ... not blocked."""
         nonlocal best_weight, best, nodes, check_at
         if slots == 0:
             if acc < best_weight:
-                best_weight = acc
-                best = chosen.copy()
+                best_weight, best = acc, path
             return
         skipped = symmetry.skip(cells) if cells else 0
         free = blocked | skipped if skipped else blocked
@@ -314,24 +311,26 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
             if fit >= stop:
                 return
             # Place, then descend unless the bound rules out every completion.
-            child = place(fit, blocked)
+            child = blocked
+            for i in touched[fit]:
+                rooms[i] -= 1
+                if not rooms[i]:
+                    child |= blocks[i]
             acc_fit, room_fit = acc + cards[fit], room - uses[fit]
             if weight_floor(fit, child, slots - 1, acc_fit, room_fit) < best_weight:
-                chosen.append(fit)
-                cells_fit = cells and symmetry.refine(cells, fit)
-                descend(fit, child, slots - 1, acc_fit, room_fit, cells_fit)
-                chosen.pop()
-            remove(fit)
+                split = cells and symmetry.refine(cells, fit)
+                descend(fit, child, slots - 1, acc_fit, room_fit, split, (path, fit))
+            for i in touched[fit]:
+                rooms[i] += 1
             j = fit + 1
 
     try:
-        descend(0, 0, n, 0, room0, symmetry.root)
+        descend(0, 0, n, 0, room0, symmetry.root, None)
     except BudgetExhausted as stop:
-        witness = BatchCode(m, [cols[j] for j in best]) if best is not None else None
+        witness = _witness(m, cols, best) if best else None
         return SearchResult(root_floor, witness, False, stop.args[0])
     assert best is not None  # all-(r+k)-cardinality multisets are always codes
-    witness = BatchCode(m, [cols[j] for j in best])
-    return SearchResult(best_weight, witness, True, nodes)
+    return SearchResult(best_weight, _witness(m, cols, best), True, nodes)
 
 
 def uniform_packing_max(
@@ -350,6 +349,7 @@ def uniform_packing_max(
     runs return the witness of the scan without the canonical rule.
     """
     _check_serviceability(CodeParams(0, k, m, r))
+    _check_limit(limit)
     if not r + 1 <= cardinality <= r + k - 1:
         # Cardinality-(r+k) columns satisfy every subset condition, so their
         # packings are unbounded; nothing to search there.
@@ -358,8 +358,7 @@ def uniform_packing_max(
             f"[{r + 1}, {r + k - 1}]"
         )
     cols = list(combinations(range(1, m + 1), cardinality))
-    state = _Placement(m, k, r, cols)
-    place, remove = state.place, state.remove
+    room, touched, blocks = _placement(m, k, r, cols)
     symmetry = _Cells(m, cols)
     # A column alone fits at most cardinality - r copies (the room of its own
     # support), so candidates j, j+1, ... add at most (len(cols) - j) times
@@ -370,22 +369,21 @@ def uniform_packing_max(
     budget = budget or DEFAULT_BUDGET
     node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
     nodes = check_at = 0
-    best = 0
-    best_cols: list[int] = []
-    chosen: list[int] = []
+    best, best_path = 0, None
     cap_count = limit if limit is not None else math.inf
 
-    def descend(j: int, blocked: int, cells) -> None:
-        """Extend `chosen` by canonical candidates j, j+1, ... not blocked."""
-        nonlocal best, best_cols, nodes, check_at
-        depth = len(chosen)
+    def descend(j: int, blocked: int, cells: int, depth: int, path) -> None:
+        """Extend `path`, a nested (parent, candidate) pair, by canonical
+        candidates j, j+1, ... not blocked."""
+        nonlocal best, best_path, nodes, check_at
+        if not cells:
+            return discrete(j, blocked, depth, path)
         if depth > best:
-            best = depth
-            best_cols = chosen.copy()
+            best, best_path = depth, path
         if depth >= cap_count:
             return
-        skipped = symmetry.skip(cells) if cells else 0
-        free = blocked | skipped if skipped else blocked
+        skipped = symmetry.skip(cells)
+        free = blocked | skipped
         while True:
             stop = first_at_most[best - depth]
             if j >= stop:
@@ -393,26 +391,56 @@ def uniform_packing_max(
             x = free >> j
             fit = j + (x ^ (x + 1)).bit_length() - 1  # next candidate to place
             end = fit + 1 if fit < stop else stop
-            nodes += end - j
-            if skipped:  # candidates that are not canonical are not nodes
-                nodes -= (skipped >> j & ~(-1 << end - j)).bit_count()
+            # Candidates that are not canonical are not nodes.
+            nodes += end - j - (skipped >> j & ~(-1 << end - j)).bit_count()
             if nodes >= check_at:
                 check_at = checkpoint(nodes, check_at, node_limit, deadline)
             if fit >= stop:
                 return
-            chosen.append(fit)
-            descend(fit, place(fit, blocked), cells and symmetry.refine(cells, fit))
-            chosen.pop()
-            remove(fit)
+            child = blocked
+            for i in touched[fit]:
+                room[i] -= 1
+                if not room[i]:
+                    child |= blocks[i]
+            descend(fit, child, symmetry.refine(cells, fit), depth + 1, (path, fit))
+            for i in touched[fit]:
+                room[i] += 1
+            j = fit + 1
+
+    def discrete(j: int, blocked: int, depth: int, path) -> None:
+        """descend without cells: every candidate is canonical."""
+        nonlocal best, best_path, nodes, check_at
+        if depth > best:
+            best, best_path = depth, path
+        if depth >= cap_count:
+            return
+        while True:
+            stop = first_at_most[best - depth]
+            if j >= stop:
+                return
+            x = blocked >> j
+            fit = j + (x ^ (x + 1)).bit_length() - 1  # next candidate to place
+            nodes += (fit + 1 if fit < stop else stop) - j
+            if nodes >= check_at:
+                check_at = checkpoint(nodes, check_at, node_limit, deadline)
+            if fit >= stop:
+                return
+            child = blocked
+            for i in touched[fit]:
+                room[i] -= 1
+                if not room[i]:
+                    child |= blocks[i]
+            discrete(fit, child, depth + 1, (path, fit))
+            for i in touched[fit]:
+                room[i] += 1
             j = fit + 1
 
     exact = True
     try:
-        descend(0, 0, symmetry.root)
+        descend(0, 0, symmetry.root, 0, None)
     except BudgetExhausted as stop:
         exact, nodes = False, stop.args[0]
-    witness = BatchCode(m, [cols[j] for j in best_cols])
-    return SearchResult(best, witness, exact, nodes)
+    return SearchResult(best, _witness(m, cols, best_path), exact, nodes)
 
 
 def gap_base_max(
@@ -453,6 +481,7 @@ def trivial_weight_max(
     None; `limit` caps the search otherwise.
     """
     _check_serviceability(CodeParams(0, k, m, r))
+    _check_limit(limit)
     if k == 1:
         return SearchResult(None, None, True)
     return uniform_packing_max(k, m, r, r + 1, limit=limit, budget=budget)

@@ -392,6 +392,22 @@ class TestUniformPackingMax:
         grow = uniform_packing_max(3, 4, 1, 3, limit=result.value + 1)
         assert grow.value == result.value
 
+    @pytest.mark.parametrize(
+        "limit, message",
+        [(3.5, "limit must be a whole number, got 3.5"),
+         (-1, "limit must be non-negative, got -1"),
+         (math.nan, "limit must be non-negative, got nan"),
+         (math.inf, "limit must be a whole number, got inf")],
+    )
+    def test_rejects_bad_limit(self, limit, message):
+        with pytest.raises(ValueError, match=message):
+            uniform_packing_max(3, 6, 1, 2, limit=limit)
+
+    def test_whole_float_limit_caps_like_an_int(self):
+        assert outcome(uniform_packing_max(3, 6, 1, 2, limit=3.0)) == outcome(
+            uniform_packing_max(3, 6, 1, 2, limit=3)
+        )
+
 
 class TestGapBaseMax:
     def test_balanced_bipartite_values(self):
@@ -574,6 +590,13 @@ class TestTrivialWeightMax:
     def test_limit_short_circuits(self):
         result = trivial_weight_max(2, 6, 1, limit=3)
         assert result.value == 3
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rejects_bad_limit(self, k):
+        with pytest.raises(ValueError, match="limit must be a whole number, got 2.5"):
+            trivial_weight_max(k, 6, 1, limit=2.5)
+        with pytest.raises(ValueError, match="limit must be non-negative, got -1"):
+            trivial_weight_max(k, 6, 1, limit=-1)
 
     def test_rejects_r_at_least_m(self):
         with pytest.raises(ParameterError):
