@@ -192,10 +192,10 @@ class _Cells:
 
 
 def _check_limit(limit: int | None) -> None:
-    """Reject a `limit` that is negative or not a whole number."""
+    """Reject a `limit` that is negative or not a whole number; inf is no cap."""
     if limit is not None and not limit >= 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    if limit is not None and limit % 1:
+    if limit is not None and limit < math.inf and limit % 1:
         raise ValueError(f"limit must be a whole number, got {limit}")
 
 

@@ -396,16 +396,20 @@ class TestUniformPackingMax:
         "limit, message",
         [(3.5, "limit must be a whole number, got 3.5"),
          (-1, "limit must be non-negative, got -1"),
-         (math.nan, "limit must be non-negative, got nan"),
-         (math.inf, "limit must be a whole number, got inf")],
+         (math.nan, "limit must be non-negative, got nan")],
     )
     def test_rejects_bad_limit(self, limit, message):
         with pytest.raises(ValueError, match=message):
             uniform_packing_max(3, 6, 1, 2, limit=limit)
 
-    def test_whole_float_limit_caps_like_an_int(self):
-        assert outcome(uniform_packing_max(3, 6, 1, 2, limit=3.0)) == outcome(
-            uniform_packing_max(3, 6, 1, 2, limit=3)
+    @pytest.mark.parametrize("limit, same", [(3.0, 3), (math.inf, None)])
+    def test_float_limit_caps_like_its_int(self, limit, same):
+        # A whole float caps as its int, and inf means no cap, as in SearchBudget.
+        assert outcome(uniform_packing_max(3, 6, 1, 2, limit=limit)) == outcome(
+            uniform_packing_max(3, 6, 1, 2, limit=same)
+        )
+        assert outcome(trivial_weight_max(3, 6, 1, limit=limit)) == outcome(
+            trivial_weight_max(3, 6, 1, limit=same)
         )
 
 
