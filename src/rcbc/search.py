@@ -33,7 +33,10 @@ some column, relabelling that column would give an earlier code.  Each code
 a search records as best is such a first (the first code, then the first one
 better than the last recorded), so an uncapped run records the same codes,
 prunes alike, and returns the same value and witness in a subsequence of the
-nodes of the search without the rule.  Refining only splits cells, so once
+nodes of the search without the rule.  Every cell is a run of servers (a
+cell-prefix column splits a run into two), so `cells` is the bitmask of the
+servers s (from 0) in one cell with s+1; placing candidate j makes it
+cells & ~(masks[j] ^ masks[j] >> 1).  Refining only splits cells, so once
 all cells are single servers uniform_packing_max goes on in a cells-free loop.
 """
 
@@ -131,13 +134,16 @@ def checkpoint(nodes: int, check_at: int, node_limit: int, deadline: float) -> i
 
 
 def _placement(m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> tuple:
-    """Tables (room, touched, blocks) of the room left in every tracked subset.
+    """Tables (room, touched, blocks, masks, apart) over the candidate columns.
 
     Tracked subset I (r+1 <= |I| <= r+k-1) starts with room |I| - r.
     Candidate j touches the subsets in touched[j] (those containing it), and
     blocks[i] has bit j set when candidate j touches subset i.  The searches
     place j in their own loops: one less room[i] for each i in touched[j], and
     blocks[i] joins their `blocked` mask of unfit candidates where that is 0.
+
+    masks[j] is candidate j's server bitmask (server s at bit s-1), and
+    apart[s] has bit j set when candidate j holds server s+2 but not s+1.
     """
     index: dict[int, int] = {}  # subset bitmask -> position in room
     room: list[int] = []
@@ -147,8 +153,11 @@ def _placement(m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> tuple:
             room.append(d - r)
     touched: list[tuple[int, ...]] = []
     blocks = [0] * len(room)
+    masks: list[int] = []
+    apart = [0] * (m - 1)
     for j, col in enumerate(columns):
         bits = sum(1 << (s - 1) for s in col)
+        masks.append(bits)
         rest = [1 << b for b in range(m) if not bits >> b & 1]
         touched.append(tuple(
             index[bits | sum(add)]
@@ -157,38 +166,19 @@ def _placement(m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> tuple:
         ))
         for i in touched[j]:
             blocks[i] |= 1 << j
-    return room, touched, blocks
+        for s in range(m - 1):
+            if bits >> s & 3 == 2:
+                apart[s] |= 1 << j
+    return room, touched, blocks, masks, apart
 
 
-class _Cells:
-    """Server cells for the canonical rule of the module docstring.
-
-    A cell-prefix column splits a run of consecutive servers into two runs,
-    so every cell is a run, and a partition is the bitmask `joined` of the
-    servers s (from 0) in one cell with s+1; 0 means single servers.  The
-    candidates that are not cell-prefix hold some s+1 but not s: holds[s]
-    has bit j set when candidate j holds server s.
-    """
-
-    def __init__(self, m: int, columns: list[tuple[int, ...]]) -> None:
-        self.masks = [sum(1 << (s - 1) for s in col) for col in columns]
-        self.holds = [
-            sum(1 << j for j, mask in enumerate(self.masks) if mask >> s & 1)
-            for s in range(m)
-        ]
-        self.root = (1 << (m - 1)) - 1
-
-    def skip(self, joined: int) -> int:
-        """Bitmask of the candidates that are not cell-prefix."""
-        skip = 0
-        for s, (held, after) in enumerate(zip(self.holds, self.holds[1:])):
-            if joined >> s & 1:
-                skip |= after & ~held
-        return skip
-
-    def refine(self, joined: int, j: int) -> int:
-        """Split the cells by the servers of candidate j."""
-        return joined & ~(self.masks[j] ^ self.masks[j] >> 1)
+def _skip(apart: list[int], cells: int) -> int:
+    """Bitmask of the candidates that are not cell-prefix under `cells`."""
+    skip = 0
+    for s, held in enumerate(apart):
+        if cells >> s & 1:
+            skip |= held
+    return skip
 
 
 def _check_limit(limit: int | None) -> None:
@@ -276,8 +266,7 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     # Cardinalities are nondecreasing: first_wider[c] is the index of the
     # first candidate of cardinality >= c, where pruning starts.
     first_wider = [bisect_left(cards, c) for c in range(best_weight + 1)]
-    rooms, touched, blocks = _placement(m, k, r, cols)
-    symmetry = _Cells(m, cols)
+    rooms, touched, blocks, masks, apart = _placement(m, k, r, cols)
     budget = budget or DEFAULT_BUDGET
     node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
     nodes = check_at = 0
@@ -292,7 +281,7 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
             if acc < best_weight:
                 best_weight, best = acc, path
             return
-        skipped = symmetry.skip(cells) if cells else 0
+        skipped = _skip(apart, cells) if cells else 0
         free = blocked | skipped if skipped else blocked
         while True:
             # Columns of cardinality >= ceil((best_weight - acc) / slots)
@@ -318,14 +307,14 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
                     child |= blocks[i]
             acc_fit, room_fit = acc + cards[fit], room - uses[fit]
             if weight_floor(fit, child, slots - 1, acc_fit, room_fit) < best_weight:
-                split = cells and symmetry.refine(cells, fit)
+                split = cells & ~(masks[fit] ^ masks[fit] >> 1)
                 descend(fit, child, slots - 1, acc_fit, room_fit, split, (path, fit))
             for i in touched[fit]:
                 rooms[i] += 1
             j = fit + 1
 
     try:
-        descend(0, 0, n, 0, room0, symmetry.root, None)
+        descend(0, 0, n, 0, room0, (1 << (m - 1)) - 1, None)
     except BudgetExhausted as stop:
         witness = _witness(m, cols, best) if best else None
         return SearchResult(root_floor, witness, False, stop.args[0])
@@ -358,8 +347,7 @@ def uniform_packing_max(
             f"[{r + 1}, {r + k - 1}]"
         )
     cols = list(combinations(range(1, m + 1), cardinality))
-    room, touched, blocks = _placement(m, k, r, cols)
-    symmetry = _Cells(m, cols)
+    room, touched, blocks, masks, apart = _placement(m, k, r, cols)
     # A column alone fits at most cardinality - r copies (the room of its own
     # support), so candidates j, j+1, ... add at most (len(cols) - j) times
     # that.  first_at_most[v] is the first j where that is <= v, where
@@ -382,7 +370,7 @@ def uniform_packing_max(
             best, best_path = depth, path
         if depth >= cap_count:
             return
-        skipped = symmetry.skip(cells)
+        skipped = _skip(apart, cells)
         free = blocked | skipped
         while True:
             stop = first_at_most[best - depth]
@@ -402,7 +390,8 @@ def uniform_packing_max(
                 room[i] -= 1
                 if not room[i]:
                     child |= blocks[i]
-            descend(fit, child, symmetry.refine(cells, fit), depth + 1, (path, fit))
+            split = cells & ~(masks[fit] ^ masks[fit] >> 1)
+            descend(fit, child, split, depth + 1, (path, fit))
             for i in touched[fit]:
                 room[i] += 1
             j = fit + 1
@@ -437,7 +426,7 @@ def uniform_packing_max(
 
     exact = True
     try:
-        descend(0, 0, symmetry.root, 0, None)
+        descend(0, 0, (1 << (m - 1)) - 1, 0, None)
     except BudgetExhausted as stop:
         exact, nodes = False, stop.args[0]
     return SearchResult(best, _witness(m, cols, best_path), exact, nodes)

@@ -25,7 +25,7 @@ from rcbc import (
     verify,
     weight,
 )
-from rcbc.search import BudgetExhausted, _Cells, checkpoint
+from rcbc.search import BudgetExhausted, _placement, _skip, checkpoint
 from helpers import (
     _RefExhausted,
     _RefMeter,
@@ -149,19 +149,24 @@ class TestMeter:
 
 class TestCanonicalRule:
     """A partition is the bitmask of the servers s (from 0) in one cell with
-    s + 1."""
+    s + 1; the root is one cell, (1 << (m - 1)) - 1."""
 
     @staticmethod
     def canonical(m, joined):
         servers = range(1, m + 1)
         cols = [c for card in servers for c in itertools.combinations(servers, card)]
-        skip = _Cells(m, cols).skip(joined)
+        apart = _placement(m, m, 0, cols)[4]
+        skip = _skip(apart, joined)
         return [col for j, col in enumerate(cols) if not skip >> j & 1]
+
+    @staticmethod
+    def refine(masks, joined, j):
+        return joined & ~(masks[j] ^ masks[j] >> 1)
 
     def test_one_cell_allows_only_prefix_sets(self):
         for m in range(1, 8):
             prefixes = [tuple(range(1, c + 1)) for c in range(1, m + 1)]
-            assert self.canonical(m, _Cells(m, []).root) == prefixes, m
+            assert self.canonical(m, (1 << (m - 1)) - 1) == prefixes, m
 
     def test_each_cell_takes_its_lowest_servers(self):
         # Cells {1, 2, 3} and {4, 5}.
@@ -172,12 +177,14 @@ class TestCanonicalRule:
 
     def test_refine_splits_cells_until_single_servers(self):
         cols = list(itertools.combinations(range(1, 5), 2))
-        cells = _Cells(4, cols)
-        assert cells.root == 0b111
-        assert cells.refine(cells.root, 0) == 0b101  # by {1, 2}: {1, 2}, {3, 4}
-        assert cells.refine(0b101, 5) == 0b101  # by {3, 4}
-        assert cells.refine(0b101, 1) == 0  # by {1, 3}: single servers
-        assert _Cells(1, [(1,)]).root == 0
+        masks = _placement(4, 2, 1, cols)[3]
+        root = (1 << (4 - 1)) - 1
+        assert root == 0b111
+        assert self.refine(masks, root, 0) == 0b101  # by {1, 2}: {1, 2}, {3, 4}
+        assert self.refine(masks, 0b101, 5) == 0b101  # by {3, 4}
+        assert self.refine(masks, 0b101, 1) == 0  # by {1, 3}: single servers
+        assert (1 << (1 - 1)) - 1 == 0  # m = 1: a single server
+        assert _placement(1, 1, 0, [(1,)])[3:] == ([1], [])
 
 
 class TestAgainstReferenceLoop:
