@@ -23,7 +23,7 @@ from typing import Iterable
 from .core import BatchCode, _Value
 from .matrixio import read_records
 from .search import (
-    DEFAULT_BUDGET, BudgetExhausted, SearchBudget, SearchResult, checkpoint
+    DEFAULT_BUDGET, BudgetExhausted, SearchBudget, SearchResult, checkpoint, too_deep
 )
 
 __all__ = [
@@ -220,6 +220,8 @@ def max_edges_with_girth(
             cap -= 1
     except BudgetExhausted as stop:
         exact, nodes = False, stop.args[0]
+    except RecursionError:  # one level per added edge
+        raise too_deep("max_edges_with_girth") from None
     witness = code_from_graph(SimpleGraph(m, best_edges))
     return SearchResult(best, witness, exact, nodes)
 

@@ -43,6 +43,7 @@ all cells are single servers uniform_packing_max goes on in a cells-free loop.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from bisect import bisect_left
 from itertools import combinations
@@ -115,6 +116,12 @@ class SearchResult(_Value):
 
 class BudgetExhausted(Exception):
     """Raised by checkpoint; args[0] is the node count where the search stopped."""
+
+
+def too_deep(search: str) -> ValueError:
+    """The error for a search that recursed past the interpreter's limit."""
+    limit = sys.getrecursionlimit()
+    return ValueError(f"{search} recurses past Python's recursion limit ({limit})")
 
 
 def checkpoint(nodes: int, check_at: int, node_limit: int, deadline: float) -> int:
@@ -318,6 +325,8 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     except BudgetExhausted as stop:
         witness = _witness(m, cols, best) if best else None
         return SearchResult(root_floor, witness, False, stop.args[0])
+    except RecursionError:  # one level per placed column
+        raise too_deep("exact_min_weight") from None
     assert best is not None  # all-(r+k)-cardinality multisets are always codes
     return SearchResult(best_weight, _witness(m, cols, best), True, nodes)
 
@@ -429,6 +438,8 @@ def uniform_packing_max(
         descend(0, 0, (1 << (m - 1)) - 1, 0, None)
     except BudgetExhausted as stop:
         exact, nodes = False, stop.args[0]
+    except RecursionError:  # one level per placed column
+        raise too_deep("uniform_packing_max") from None
     return SearchResult(best, _witness(m, cols, best_path), exact, nodes)
 
 

@@ -599,6 +599,25 @@ class TestEntryPoint:
         assert "->" in fetch.stdout
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimal", "--params", "1200,2,4,1"],
+            ["girth-search", "--m", "50", "--girth", "3"],
+        ],
+    )
+    def test_search_past_the_recursion_limit_exits_2(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcbc.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "recurses past Python's recursion limit" in proc.stderr
+
 class TestStrictIntegerFlags:
     @pytest.mark.parametrize(
         "argv",

@@ -6,6 +6,8 @@ import functools
 import itertools
 import math
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -621,3 +623,28 @@ class TestTrivialWeightMax:
         assert verify(code, p).ok
         assert weight(code) == 2 * code.n
         assert exact_min_weight(p).value == 2 * code.n
+
+
+class TestRecursionLimit:
+    """Each search recurses once per placed column or added edge; one deeper
+    than the interpreter allows fails as a ValueError."""
+
+    @pytest.mark.parametrize(
+        "search, args",
+        [
+            (exact_min_weight, (CodeParams(1200, 2, 4, 1),)),
+            (uniform_packing_max, (2, 50, 1, 2)),
+            (max_edges_with_girth, (50, 3)),
+        ],
+        ids=["exact_min_weight", "uniform_packing_max", "max_edges_with_girth"],
+    )
+    def test_too_deep_is_a_value_error(self, search, args):
+        limit = f"Python's recursion limit ({sys.getrecursionlimit()})"
+        match = re.escape(f"{search.__name__} recurses past {limit}")
+        with pytest.raises(ValueError, match=match):
+            search(*args)
+
+    def test_below_the_limit_still_proves(self):
+        # C(40, 2) = 780 pairs, every one placed: 780 levels deep.
+        result = uniform_packing_max(2, 40, 1, 2)
+        assert (result.value, result.exact, result.nodes) == (780, True, 1_560)
