@@ -160,15 +160,13 @@ def _placement(m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> tuple:
             room.append(d - r)
     touched: list[tuple[int, ...]] = []
     blocks = [0] * len(room)
-    masks: list[int] = []
+    masks = [sum(1 << (s - 1) for s in col) for col in columns]
     apart = [0] * (m - 1)
-    for j, col in enumerate(columns):
-        bits = sum(1 << (s - 1) for s in col)
-        masks.append(bits)
+    for j, bits in enumerate(masks):
         rest = [1 << b for b in range(m) if not bits >> b & 1]
         touched.append(tuple(
             index[bits | sum(add)]
-            for extra in range(r + k - len(col))
+            for extra in range(r + k - bits.bit_count())
             for add in combinations(rest, extra)
         ))
         for i in touched[j]:
@@ -182,9 +180,9 @@ def _placement(m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> tuple:
 def _skip(apart: list[int], cells: int) -> int:
     """Bitmask of the candidates that are not cell-prefix under `cells`."""
     skip = 0
-    for s, held in enumerate(apart):
+    for s, mask in enumerate(apart):
         if cells >> s & 1:
-            skip |= held
+            skip |= mask
     return skip
 
 
