@@ -2,18 +2,19 @@
 
 Searches run over multisets of candidate columns in nondecreasing
 (cardinality, lexicographic) order, so every result and witness is
-deterministic.  Feasibility is tracked incrementally by the room tables of
-`_placement`: for each server subset I with r+1 <= |I| <= r+k-1, at most
-|I| - r columns may sit inside I.  A completed multiset passing every counter
-is exactly a code, and columns of cardinality r+k touch no counter at all.
+deterministic.  At most |I| - r columns may sit inside each server subset I
+with r+1 <= |I| <= r+k-1; a completed multiset within every such room is
+exactly a code, and columns of cardinality r+k touch no subset.
 
-The depth-first searches carry a bitmask of the candidates that no longer
-fit (some subset they touch is full) and jump straight to the next one that
-does.  Pruning is a precomputed candidate index past which no extension can
-beat the best found.  A node is one candidate considered, whether it fits or
-not.  Each search keeps one running count and calls `checkpoint` when it
-reaches the pending checkpoint, so the unfit candidates jumped over are
-counted in bulk and the budget stops a search where a one-by-one count would.
+Each level of a depth-first search holds the rooms left as the fields of
+one int (`_placement`), so a placement is one addition with nothing to
+undo, and a bitmask of the candidates that no longer fit (some subset they
+touch is full), to jump straight to the next one that does.  Pruning is a
+precomputed index past which no extension can beat the best found.  A node
+is one candidate considered, whether it fits or not.  Each search keeps one
+running count and calls `checkpoint` at the pending checkpoint, so the
+unfit candidates jumped over are counted in bulk and the budget stops a
+search where a one-by-one count would.
 
 exact_min_weight also bounds the weight of every code completing a placed
 candidate, by counting the room left in the (r+k-1)-subsets and the
@@ -141,40 +142,42 @@ def checkpoint(nodes: int, check_at: int, node_limit: int, deadline: float) -> i
 
 
 def _placement(m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> tuple:
-    """Tables (room, touched, blocks, masks, apart) over the candidate columns.
+    """Tables (start, guard, inc, at, masks, apart) over the candidate columns.
 
-    Tracked subset I (r+1 <= |I| <= r+k-1) starts with room |I| - r.
-    Candidate j touches the subsets in touched[j] (those containing it), and
-    blocks[i] has bit j set when candidate j touches subset i.  The searches
-    place j in their own loops: one less room[i] for each i in touched[j], and
-    blocks[i] joins their `blocked` mask of unfit candidates where that is 0.
-
-    masks[j] is candidate j's server bitmask (server s at bit s-1), and
-    apart[s] has bit j set when candidate j holds server s+2 but not s+1.
+    A state has a w-bit field, w = (k-1).bit_length() + 1, per tracked subset
+    I (larger I first) holding 2^(w-1) less the room left in I (|I| - r in
+    `start`), so I is full when the field's top bit, its bit in `guard`, is
+    set.  inc[j] has a 1 in the field of each subset holding candidate j
+    (those j touches), so placing a j that touches no full subset adds inc[j]
+    with no carry.  at[t] has bit j set when j touches the subset whose guard
+    bit has bit length t.  masks[j] is j's server bitmask (server s at bit
+    s-1), and apart[s] has bit j set when j holds server s+2 but not s+1.
     """
-    index: dict[int, int] = {}  # subset bitmask -> position in room
-    room: list[int] = []
-    for d in range(r + 1, r + k):
-        for rows in combinations(range(m), d):
-            index[sum(1 << b for b in rows)] = len(room)
-            room.append(d - r)
-    touched: list[tuple[int, ...]] = []
-    blocks = [0] * len(room)
+    w = (k - 1).bit_length() + 1
+    index: dict[int, int] = {}  # subset bitmask -> lowest bit of its field
+    start = 0
+    for d in range(r + k - 1, r, -1):
+        ones = ((1 << w * math.comb(m, d)) - 1) // ((1 << w) - 1)  # 1 per field
+        start |= ((1 << w - 1) - (d - r)) * ones << w * len(index)
+        for subset in map(sum, combinations([1 << b for b in range(m)], d)):
+            index[subset] = w * len(index)
+    guard = ((1 << w * len(index)) - 1) // ((1 << w) - 1) << w - 1
+    inc: list[int] = []
+    at = [0] * (w * len(index) + 1)
     masks = [sum(1 << (s - 1) for s in col) for col in columns]
-    apart = [0] * (m - 1)
     for j, bits in enumerate(masks):
         rest = [1 << b for b in range(m) if not bits >> b & 1]
-        touched.append(tuple(
-            index[bits | sum(add)]
+        fields = [
+            index[bits | add]
             for extra in range(r + k - bits.bit_count())
-            for add in combinations(rest, extra)
-        ))
-        for i in touched[j]:
-            blocks[i] |= 1 << j
-        for s in range(m - 1):
-            if bits >> s & 3 == 2:
-                apart[s] |= 1 << j
-    return room, touched, blocks, masks, apart
+            for add in map(sum, combinations(rest, extra))
+        ]
+        inc.append(sum([1 << f for f in fields]))
+        for f in fields:
+            at[f + w] |= 1 << j
+    apart = [sum(1 << j for j, b in enumerate(masks) if b >> s & 3 == 2)
+             for s in range(m - 1)]
+    return start, guard, inc, at, masks, apart
 
 
 def _skip(apart: list[int], cells: int) -> int:
@@ -223,10 +226,10 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
       start.  A c-column takes C(m-c, r+k-1-c) >= r+k-c of it, so each unit
       of room saves at most one.
 
-    A candidate whose bound reaches the best weight is removed again without
-    a descent.  Its subtree holds no better code and counts no nodes.  So an
-    uncapped run finds the optimum and witness of the scan without the bound
-    and without the canonical rule of the module docstring, in a subsequence
+    A candidate whose bound reaches the best weight is not descended into:
+    its subtree holds no better code and counts no nodes.  So an uncapped
+    run finds the optimum and witness of the scan without the bound and
+    without the canonical rule of the module docstring, in a subsequence
     of its nodes.  A run cut short by the budget reports the bound at the
     empty placement as `lower`.  That bound is at least the floor (r+1)n,
     since no copy saves more than k-1, and once n >= (k-1) C(m, r+k-1) it
@@ -271,14 +274,15 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     # Cardinalities are nondecreasing: first_wider[c] is the index of the
     # first candidate of cardinality >= c, where pruning starts.
     first_wider = [bisect_left(cards, c) for c in range(best_weight + 1)]
-    rooms, touched, blocks, masks, apart = _placement(m, k, r, cols)
+    start, guard, inc, at, masks, apart = _placement(m, k, r, cols)
     budget = budget or DEFAULT_BUDGET
     node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
     nodes = check_at = 0
     best = None
 
     def descend(
-        j: int, blocked: int, slots: int, acc: int, room: int, cells: int, path
+        j: int, blocked: int, slots: int, acc: int, room: int, cells: int, state: int,
+        path,
     ) -> None:
         """Fill `slots` more from canonical candidates j, j+1, ... not blocked."""
         nonlocal best_weight, best, nodes, check_at
@@ -305,21 +309,20 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
             if fit >= stop:
                 return
             # Place, then descend unless the bound rules out every completion.
+            after = state + inc[fit]
+            full = (after ^ state) & guard  # the subsets fit fills
             child = blocked
-            for i in touched[fit]:
-                rooms[i] -= 1
-                if not rooms[i]:
-                    child |= blocks[i]
-            acc_fit, room_fit = acc + cards[fit], room - uses[fit]
-            if weight_floor(fit, child, slots - 1, acc_fit, room_fit) < best_weight:
+            while full:
+                child |= at[full.bit_length()]
+                full ^= 1 << full.bit_length() - 1
+            weight, left = acc + cards[fit], room - uses[fit]
+            if weight_floor(fit, child, slots - 1, weight, left) < best_weight:
                 split = cells & ~(masks[fit] ^ masks[fit] >> 1)
-                descend(fit, child, slots - 1, acc_fit, room_fit, split, (path, fit))
-            for i in touched[fit]:
-                rooms[i] += 1
+                descend(fit, child, slots - 1, weight, left, split, after, (path, fit))
             j = fit + 1
 
     try:
-        descend(0, 0, n, 0, room0, (1 << (m - 1)) - 1, None)
+        descend(0, 0, n, 0, room0, (1 << (m - 1)) - 1, start, None)
     except BudgetExhausted as stop:
         witness = _witness(m, cols, best) if best else None
         return SearchResult(root_floor, witness, False, stop.args[0])
@@ -354,7 +357,7 @@ def uniform_packing_max(
             f"[{r + 1}, {r + k - 1}]"
         )
     cols = list(combinations(range(1, m + 1), cardinality))
-    room, touched, blocks, masks, apart = _placement(m, k, r, cols)
+    start, guard, inc, at, masks, apart = _placement(m, k, r, cols)
     # A column alone fits at most cardinality - r copies (the room of its own
     # support), so candidates j, j+1, ... add at most (len(cols) - j) times
     # that.  first_at_most[v] is the first j where that is <= v, where
@@ -367,12 +370,11 @@ def uniform_packing_max(
     best, best_path = 0, None
     cap_count = limit if limit is not None else math.inf
 
-    def descend(j: int, blocked: int, cells: int, depth: int, path) -> None:
-        """Extend `path`, a nested (parent, candidate) pair, by canonical
-        candidates j, j+1, ... not blocked."""
+    def descend(j: int, blocked: int, cells: int, depth: int, state: int, path) -> None:
+        """Extend `path` by canonical candidates j, j+1, ... not blocked."""
         nonlocal best, best_path, nodes, check_at
         if not cells:
-            return discrete(j, blocked, depth, path)
+            return discrete(j, blocked, depth, state, path)
         if depth > best:
             best, best_path = depth, path
         if depth >= cap_count:
@@ -392,18 +394,17 @@ def uniform_packing_max(
                 check_at = checkpoint(nodes, check_at, node_limit, deadline)
             if fit >= stop:
                 return
+            after = state + inc[fit]
+            full = (after ^ state) & guard  # the subsets fit fills
             child = blocked
-            for i in touched[fit]:
-                room[i] -= 1
-                if not room[i]:
-                    child |= blocks[i]
+            while full:
+                child |= at[full.bit_length()]
+                full ^= 1 << full.bit_length() - 1
             split = cells & ~(masks[fit] ^ masks[fit] >> 1)
-            descend(fit, child, split, depth + 1, (path, fit))
-            for i in touched[fit]:
-                room[i] += 1
+            descend(fit, child, split, depth + 1, after, (path, fit))
             j = fit + 1
 
-    def discrete(j: int, blocked: int, depth: int, path) -> None:
+    def discrete(j: int, blocked: int, depth: int, state: int, path) -> None:
         """descend without cells: every candidate is canonical."""
         nonlocal best, best_path, nodes, check_at
         if depth > best:
@@ -421,19 +422,18 @@ def uniform_packing_max(
                 check_at = checkpoint(nodes, check_at, node_limit, deadline)
             if fit >= stop:
                 return
+            after = state + inc[fit]
+            full = (after ^ state) & guard  # the subsets fit fills
             child = blocked
-            for i in touched[fit]:
-                room[i] -= 1
-                if not room[i]:
-                    child |= blocks[i]
-            discrete(fit, child, depth + 1, (path, fit))
-            for i in touched[fit]:
-                room[i] += 1
+            while full:
+                child |= at[full.bit_length()]
+                full ^= 1 << full.bit_length() - 1
+            discrete(fit, child, depth + 1, after, (path, fit))
             j = fit + 1
 
     exact = True
     try:
-        descend(0, 0, (1 << (m - 1)) - 1, 0, None)
+        descend(0, 0, (1 << (m - 1)) - 1, 0, start, None)
     except BudgetExhausted as stop:
         exact, nodes = False, stop.args[0]
     except RecursionError:  # one level per placed column

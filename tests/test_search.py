@@ -157,7 +157,7 @@ class TestCanonicalRule:
     def canonical(m, joined):
         servers = range(1, m + 1)
         cols = [c for card in servers for c in itertools.combinations(servers, card)]
-        apart = _placement(m, m, 0, cols)[4]
+        *_, apart = _placement(m, m, 0, cols)
         skip = _skip(apart, joined)
         return [col for j, col in enumerate(cols) if not skip >> j & 1]
 
@@ -179,14 +179,14 @@ class TestCanonicalRule:
 
     def test_refine_splits_cells_until_single_servers(self):
         cols = list(itertools.combinations(range(1, 5), 2))
-        masks = _placement(4, 2, 1, cols)[3]
+        *_, masks, _ = _placement(4, 2, 1, cols)
         root = (1 << (4 - 1)) - 1
         assert root == 0b111
         assert self.refine(masks, root, 0) == 0b101  # by {1, 2}: {1, 2}, {3, 4}
         assert self.refine(masks, 0b101, 5) == 0b101  # by {3, 4}
         assert self.refine(masks, 0b101, 1) == 0  # by {1, 3}: single servers
         assert (1 << (1 - 1)) - 1 == 0  # m = 1: a single server
-        assert _placement(1, 1, 0, [(1,)])[3:] == ([1], [])
+        assert _placement(1, 1, 0, [(1,)])[-2:] == ([1], [])
 
 
 class TestAgainstReferenceLoop:
