@@ -165,18 +165,20 @@ def _placement(m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> tuple:
     inc: list[int] = []
     at = [0] * (w * len(index) + 1)
     masks = [sum(1 << (s - 1) for s in col) for col in columns]
+    apart = [0] * (m - 1)
     for j, bits in enumerate(masks):
         rest = [1 << b for b in range(m) if not bits >> b & 1]
-        fields = [
-            index[bits | add]
-            for extra in range(r + k - bits.bit_count())
-            for add in map(sum, combinations(rest, extra))
-        ]
-        inc.append(sum([1 << f for f in fields]))
-        for f in fields:
-            at[f + w] |= 1 << j
-    apart = [sum(1 << j for j, b in enumerate(masks) if b >> s & 3 == 2)
-             for s in range(m - 1)]
+        step = 0
+        for extra in reversed(range(r + k - bits.bit_count())):  # low fields first
+            for add in map(sum, combinations(rest, extra)):
+                f = index[bits | add]
+                step |= 1 << f
+                at[f + w] |= 1 << j
+        inc.append(step)
+        gaps = bits >> 1 & ~bits  # bit s: j holds server s+2 but not s+1
+        while gaps:
+            apart[gaps.bit_length() - 1] |= 1 << j
+            gaps ^= 1 << gaps.bit_length() - 1
     return start, guard, inc, at, masks, apart
 
 
@@ -280,10 +282,8 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     nodes = check_at = 0
     best = None
 
-    def descend(
-        j: int, blocked: int, slots: int, acc: int, room: int, cells: int, state: int,
-        path,
-    ) -> None:
+    def descend(j: int, blocked: int, slots: int, acc: int, room: int, cells: int,
+                state: int, path) -> None:
         """Fill `slots` more from canonical candidates j, j+1, ... not blocked."""
         nonlocal best_weight, best, nodes, check_at
         if slots == 0:

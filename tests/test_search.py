@@ -31,6 +31,7 @@ from rcbc.search import BudgetExhausted, _placement, _skip, checkpoint
 from helpers import (
     _RefExhausted,
     _RefMeter,
+    _RefPlacement,
     brute_min_weight,
     cardinality_profile,
     reference_exact_min_weight,
@@ -187,6 +188,62 @@ class TestCanonicalRule:
         assert self.refine(masks, 0b101, 1) == 0  # by {1, 3}: single servers
         assert (1 << (1 - 1)) - 1 == 0  # m = 1: a single server
         assert _placement(1, 1, 0, [(1,)])[-2:] == ([1], [])
+
+
+class TestPackedRooms:
+    """The packed state of `_placement` against the room counters of the
+    reference loop, along random placements: each field holds 2^(w-1) less
+    the room left, so its guard bit is set exactly when the reference reports
+    its subset full, and the `at` masks of the full subsets join into the
+    reference's blocked candidates."""
+
+    CASES = [
+        (k, m, r) for r in range(3) for k in range(1, 5) for m in range(r + k, 8)
+    ]
+
+    @pytest.mark.parametrize("k, m, r", CASES)
+    def test_state_matches_reference_rooms(self, k, m, r):
+        servers = range(1, m + 1)
+        cols = [
+            col
+            for card in range(r + 1, r + k + 1)
+            for col in itertools.combinations(servers, card)
+        ]
+        start, guard, inc, at, _, _ = _placement(m, k, r, cols)
+        w = (k - 1).bit_length() + 1
+        # Fields run larger subsets first; the reference's subsets, smaller first.
+        order = [
+            sum(1 << b for b in rows)
+            for d in range(r + k - 1, r, -1)
+            for rows in itertools.combinations(range(m), d)
+        ]
+        ref_order = sorted(order, key=lambda s: (s.bit_count(), order.index(s)))
+        field = [order.index(s) for s in ref_order]  # reference subset -> field
+        rng = random.Random(f"{k},{m},{r}")
+        for _ in range(3):
+            ref = _RefPlacement(m, k, r, cols)
+            state = start
+            for _ in range(60):
+                fits = [j for j in range(len(cols)) if not ref.mask[j] & ref.full]
+                if not fits:
+                    break
+                j = rng.choice(fits)
+                ref.place(j)
+                state += inc[j]
+                for i, room in enumerate(ref.room):
+                    shift = w * field[i]
+                    assert state >> shift & ~(-1 << w) == (1 << w - 1) - room
+                full = [i for i in range(len(ref.room)) if ref.full >> i & 1]
+                guards = sum(1 << w * field[i] + w - 1 for i in full)
+                assert state & guard == guards
+                blocked, bits = 0, guards
+                while bits:
+                    blocked |= at[bits.bit_length()]
+                    bits ^= 1 << bits.bit_length() - 1
+                expected = sum(
+                    1 << c for c in range(len(cols)) if ref.mask[c] & ref.full
+                )
+                assert blocked == expected
 
 
 class TestAgainstReferenceLoop:
