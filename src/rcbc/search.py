@@ -6,15 +6,15 @@ deterministic.  At most |I| - r columns may sit inside each server subset I
 with r+1 <= |I| <= r+k-1; a completed multiset within every such room is
 exactly a code, and columns of cardinality r+k touch no subset.
 
-Each level of a depth-first search holds the rooms left as the fields of
-one int (`_placement`), so a placement is one addition with nothing to
-undo, and a bitmask of the candidates that no longer fit (some subset they
-touch is full), to jump straight to the next one that does.  Pruning is a
-precomputed index past which no extension can beat the best found.  A node
-is one candidate considered, whether it fits or not.  Each search keeps one
-running count and calls `checkpoint` at the pending checkpoint, so the
-unfit candidates jumped over are counted in bulk and the budget stops a
-search where a one-by-one count would.
+Each level of a depth-first search holds the rooms left, as the fields of
+one int (`_placement`), and a bitmask of the candidates that no longer fit
+(some subset they touch is full), so placing a column is one addition with
+nothing to undo and the search jumps straight to the next candidate that
+fits.  Pruning is a precomputed index past which no extension can beat the
+best found.  A node is one candidate considered, whether it fits or not.
+Each search keeps one running count and calls `checkpoint` at the pending
+checkpoint, so the unfit candidates jumped over are counted in bulk and the
+budget stops a search where a one-by-one count would.
 
 exact_min_weight also bounds the weight of every code completing a placed
 candidate, by counting the room left in the (r+k-1)-subsets and the
