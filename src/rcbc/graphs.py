@@ -3,10 +3,10 @@
 View a code whose columns all have cardinality 2 as a graph on the servers:
 columns are edges.  For 2 <= k < m <= n, the code serves batches of k under
 one server outage exactly when the graph is simple with girth at least k+1.
-That turns the search for the largest such code into an extremal graph
-question, answered here by exhaustive edge search.  The search fixes
-vertex 1 as a vertex of maximum degree d with neighbours 2, ..., d+1, which
-every graph satisfies after relabelling, and caps every other degree at d.
+So the most edges on m vertices at girth >= g is the largest
+cardinality-2 code for k = g-1 and r = 1.  max_edges_with_girth answers
+girth 3, girth 4 and girth above m in closed form and leaves every other
+girth to that packing search, uniform_packing_max(g-1, m, 1, 2).
 
 Graph text format: an "m e" header (vertices, edges), then e lines "u v".
 Blank lines and '#' comments are ignored, as in the matrix format.
@@ -15,16 +15,13 @@ Blank lines and '#' comments are ignored, as in the matrix format.
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from itertools import combinations
 from typing import Iterable
 
 from .core import BatchCode, _Value
 from .matrixio import read_records
-from .search import (
-    DEFAULT_BUDGET, BudgetExhausted, SearchBudget, SearchResult, checkpoint, too_deep
-)
+from .search import SearchBudget, SearchResult, uniform_packing_max
 
 __all__ = [
     "GraphFormatError",
@@ -127,103 +124,28 @@ def max_edges_with_girth(
 ) -> SearchResult:
     """Most edges of a simple graph on m vertices with girth >= girth_min.
 
-    Include/exclude search over edges in lexicographic order: an edge may be
-    added only when its endpoints are at distance >= girth_min - 1, so every
-    cycle ever closed has length >= girth_min.
-
-    Symmetry: vertex 1 has the maximum degree d, and its neighbours are
-    exactly 2, ..., d+1.  Any graph can be relabelled so that a vertex of
-    maximum degree is 1 and its neighbours come next, so no optimum is lost.
-    The search tries d = m-1, m-2, ... in turn, which fixes the edges at
-    vertex 1, and searches the other edges with every degree capped at d.
-    It stops once floor(m d / 2), the most edges a graph of maximum degree
-    d can have, cannot beat the best graph.
-
-    A node is one choice of d, or one edge between vertices 2..m
-    considered, whether it can be added or not; a branch stops once the
-    edges left cannot beat the best graph.  The witness is returned as a
-    code (columns are the edges of a maximum graph).
+    Three cases have closed forms, exact under any budget at 0 nodes: at
+    girth 3 the complete graph; at girth 4 Mantel's K_{ceil(m/2), floor(m/2)}
+    on {1..ceil(m/2)} and the rest, floor(m^2/4) edges; above girth m a
+    star, m-1 edges, since no cycle fits.  Every other girth is answered by
+    uniform_packing_max(girth_min - 1, m, 1, 2), whose codes are these
+    graphs; its result, node count and witness are returned as they are.
     """
     if m < 1:
         raise ValueError(f"need at least one vertex, got {m}")
     if girth_min < 3:
         raise ValueError(f"girth bound must be at least 3, got {girth_min}")
-    budget = budget or DEFAULT_BUDGET
-    all_edges = list(combinations(range(1, m + 1), 2))
-    steps = range(girth_min - 2)
-    node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
-    nodes = check_at = 0
-    adj = [0] * (m + 1)  # neighbour bitmask of each vertex
-    cap = m - 1  # degree of vertex 1, which no other vertex may exceed
-    chosen: list[tuple[int, int]] = []
-    best = 0
-    best_edges: list[tuple[int, int]] = []
-
-    def descend(idx: int) -> None:
-        """Search edges idx, idx+1, ...: including recurses, excluding loops."""
-        nonlocal best, best_edges, nodes, check_at
-        depth = len(chosen)
-        if depth > best:
-            best = depth
-            best_edges = chosen.copy()
-        while idx < len(all_edges) + depth - best:
-            u, v = all_edges[idx]
-            idx += 1
-            nodes += 1
-            if nodes >= check_at:
-                check_at = checkpoint(nodes, check_at, node_limit, deadline)
-            if adj[u].bit_count() == cap or adj[v].bit_count() == cap:
-                continue
-            # Frontier BFS from u over bitmasks: v must not be reached
-            # within girth_min - 2 steps.
-            target = 1 << v
-            seen = frontier = 1 << u
-            for _ in steps:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                if reach & target:
-                    break  # u-v would close a cycle shorter than girth_min
-                frontier = reach & ~seen
-                seen |= frontier
-            else:
-                adj[u] |= target
-                adj[v] |= 1 << u
-                chosen.append((u, v))
-                descend(idx)
-                chosen.pop()
-                adj[u] ^= target
-                adj[v] ^= 1 << u
-
-    # Vertex 1 starts adjacent to every other vertex; each pass of the loop
-    # below drops its last neighbour.
-    for v in range(2, m + 1):
-        adj[1] |= 1 << v
-        adj[v] = 1 << 1
-        chosen.append((1, v))
-    exact = True
-    try:
-        # Vertex 1 has maximum degree `cap` and neighbours 2, ..., cap+1;
-        # the edges between vertices 2..m (from index m-1) are searched
-        # under that cap.
-        while m * cap // 2 > best:
-            nodes += 1
-            if nodes >= check_at:
-                check_at = checkpoint(nodes, check_at, node_limit, deadline)
-            descend(m - 1)
-            v = cap + 1
-            adj[1] ^= 1 << v
-            adj[v] = 0
-            chosen.pop()
-            cap -= 1
-    except BudgetExhausted as stop:
-        exact, nodes = False, stop.args[0]
-    except RecursionError:  # one level per added edge
-        raise too_deep("max_edges_with_girth") from None
-    witness = code_from_graph(SimpleGraph(m, best_edges))
-    return SearchResult(best, witness, exact, nodes)
+    if girth_min == 3:
+        edges = combinations(range(1, m + 1), 2)
+    elif girth_min == 4:
+        half = (m + 1) // 2
+        edges = ((u, v) for u in range(1, half + 1) for v in range(half + 1, m + 1))
+    elif girth_min > m:
+        edges = ((1, v) for v in range(2, m + 1))
+    else:
+        return uniform_packing_max(girth_min - 1, m, 1, 2, budget=budget)
+    witness = code_from_graph(SimpleGraph(m, edges))
+    return SearchResult(witness.n, witness, True)
 
 
 # ---------------------------------------------------------------------------

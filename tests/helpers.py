@@ -214,9 +214,9 @@ def brute_max_extension(code: BatchCode, p: CodeParams) -> int:
 # replaced.  Every candidate tried costs one tick(), fit or not, and a
 # candidate is placed and removed through room counters.  Kept only to
 # compare results, witnesses and node counts against the library.  They
-# have neither the weight bound of exact_min_weight nor the maximum-degree
-# symmetry of max_edges_with_girth, so they are the unpruned oracles for
-# both.
+# lack the weight bound of exact_min_weight, and the edge search below
+# shares no code with the packing search behind max_edges_with_girth, so
+# they are independent oracles for both.
 
 
 class _RefExhausted(Exception):

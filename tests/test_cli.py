@@ -508,6 +508,12 @@ class TestGirthSearch:
         graph = parse_graph(matrix_part(out))
         assert graph.edge_count == 6
         assert girth(graph) >= 4
+        # K_50 has more edges than Python's recursion limit, but girth 3 is
+        # a closed form that needs no search.
+        code, out, _ = run(capsys, "girth-search", "--m", "50", "--girth", "3")
+        assert code == 0
+        assert "# max-edges: 1225" in out
+        assert "# exact: yes" in out
 
     def test_budget_exhausted(self, capsys):
         code, out, _ = run(
@@ -603,7 +609,6 @@ class TestEntryPoint:
         "argv",
         [
             ["optimal", "--params", "1200,2,4,1"],
-            ["girth-search", "--m", "50", "--girth", "3"],
         ],
     )
     def test_search_past_the_recursion_limit_exits_2(self, argv):

@@ -22,6 +22,7 @@ from rcbc import (
     parse_graph,
     render_graph,
     trivial_weight_max,
+    uniform_packing_max,
     verify,
     weight,
 )
@@ -140,6 +141,10 @@ class TestMaxEdges:
         assert max_edges_with_girth(5, 3).value == 10
         assert max_edges_with_girth(5, 5).value == 5
         assert max_edges_with_girth(6, 4).value == 9
+        # OEIS A006855 (no 3- or 4-cycle) at 11 vertices, A006856 (girth 6).
+        for m, girth_min, expected in ((11, 5, 16), (10, 6, 12), (12, 6, 16)):
+            result = max_edges_with_girth(m, girth_min)
+            assert (result.value, result.exact) == (expected, True), (m, girth_min)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="at least one vertex"):
@@ -172,6 +177,11 @@ class TestMaxEdges:
                 == trivial_weight_max(3, m, 1).value
             )
         assert max_edges_with_girth(5, 5).value == trivial_weight_max(4, 5, 1).value
+        # The Mantel closed form against the search over triangle-free codes
+        # (k = 3 needs m >= 4).
+        for m in range(4, 10):
+            mantel = max_edges_with_girth(m, 4).value
+            assert mantel == uniform_packing_max(3, m, 1, 2).value, m
 
     def test_matches_exhaustive_search(self):
         for girth_min in (3, 4, 5, 6):
@@ -181,9 +191,9 @@ class TestMaxEdges:
             assert max_edges_with_girth(4, girth_min).value == expected
 
     def test_pinned_node_count(self):
-        # Taken from the search with vertex 1 of maximum degree.
+        # Taken from the packing search uniform_packing_max(4, 7, 1, 2).
         result = max_edges_with_girth(7, 5)
-        assert (result.value, result.exact, result.nodes) == (8, True, 344)
+        assert (result.value, result.exact, result.nodes) == (8, True, 416)
         assert result.witness.columns == (
             (1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 6), (5, 7),
         )
@@ -200,13 +210,13 @@ class TestMaxEdges:
         )
 
     @pytest.mark.parametrize(
-        "node_limit, expected", [(37, (44, False, 37)), (38, (45, True, 37))]
+        "node_limit, expected", [(416, (8, False, 416)), (417, (8, True, 416))]
     )
     def test_limit_counts_the_last_node(self, node_limit, expected):
-        # The proof of (10, 3) takes exactly 37 nodes.  A search stops when it
+        # The proof of (7, 5) takes exactly 416 nodes.  A search stops when it
         # counts its node_limit-th node, before handling it, so the proof
-        # needs node_limit=38.
-        result = max_edges_with_girth(10, 3, SearchBudget(node_limit=node_limit))
+        # needs node_limit=417.
+        result = max_edges_with_girth(7, 5, SearchBudget(node_limit=node_limit))
         assert (result.value, result.exact, result.nodes) == expected
 
     @pytest.mark.parametrize("node_limit", [1, 37, 20_000])

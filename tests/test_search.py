@@ -77,7 +77,7 @@ class TestBudget:
             (lambda b: exact_min_weight(CodeParams(30, 4, 7, 1), b),
              (69, False, 4_096)),
             (lambda b: gap_base_max(4, 10, 2, b), (73, False, 4_096)),
-            (lambda b: max_edges_with_girth(12, 5, b), (13, False, 4_096)),
+            (lambda b: max_edges_with_girth(12, 5, b), (14, False, 4_096)),
         ],
     )
     def test_time_limit_stops_at_first_checkpoint(self, search, expected):
@@ -683,17 +683,16 @@ class TestTrivialWeightMax:
 
 
 class TestRecursionLimit:
-    """Each search recurses once per placed column or added edge; one deeper
-    than the interpreter allows fails as a ValueError."""
+    """Each search recurses once per placed column; one deeper than the
+    interpreter allows fails as a ValueError."""
 
     @pytest.mark.parametrize(
         "search, args",
         [
             (exact_min_weight, (CodeParams(1200, 2, 4, 1),)),
             (uniform_packing_max, (2, 50, 1, 2)),
-            (max_edges_with_girth, (50, 3)),
         ],
-        ids=["exact_min_weight", "uniform_packing_max", "max_edges_with_girth"],
+        ids=["exact_min_weight", "uniform_packing_max"],
     )
     def test_too_deep_is_a_value_error(self, search, args):
         limit = f"Python's recursion limit ({sys.getrecursionlimit()})"
@@ -705,3 +704,6 @@ class TestRecursionLimit:
         # C(40, 2) = 780 pairs, every one placed: 780 levels deep.
         result = uniform_packing_max(2, 40, 1, 2)
         assert (result.value, result.exact, result.nodes) == (780, True, 1_560)
+        # Girth 3 is a closed form: K_50 with no search, so no recursion.
+        result = max_edges_with_girth(50, 3)
+        assert (result.value, result.exact, result.nodes) == (1_225, True, 0)
