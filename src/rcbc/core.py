@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable, Literal
 
 __all__ = [
@@ -78,6 +78,7 @@ class CodeParams(_Value):
     r: int
 
     def __init__(self, n: int, k: int, m: int, r: int) -> None:
+        n, k, m, r = map(index, (n, k, m, r))  # TypeError unless integers
         if n < 0 or k < 1 or m < 1 or r < 0:
             raise ValueError(f"nonsensical parameters {(n, k, m, r)}")
         self.__dict__.update(n=n, k=k, m=m, r=r)

@@ -44,6 +44,7 @@ all cells are single servers uniform_packing_max goes on in a cells-free loop.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import time
 from bisect import bisect_left
@@ -191,14 +192,6 @@ def _skip(apart: list[int], cells: int) -> int:
     return skip
 
 
-def _check_limit(limit: int | None) -> None:
-    """Reject a `limit` that is negative or not a whole number; inf is no cap."""
-    if limit is not None and not limit >= 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
-    if limit is not None and limit < math.inf and limit % 1:
-        raise ValueError(f"limit must be a whole number, got {limit}")
-
-
 def _witness(m: int, cols: list[tuple[int, ...]], path) -> BatchCode:
     """The code on a search path of nested (parent, candidate index) pairs."""
     columns = []
@@ -212,9 +205,12 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     """Minimum total weight of any code for p, by branch and bound.
 
     Candidate columns take every cardinality in [r+1, r+k]: smaller columns
-    appear in no code, and any column above r+k could be shrunk.  The scan
-    of a level stops where the current weight plus (slots left) * (column
-    cardinality) cannot beat the best complete code found.
+    appear in no code, and any column above r+k could be shrunk.  Of the
+    (r+k)-columns only {1, ..., r+k} is kept: it is never blocked or
+    skipped, and a code of weight at most acc + slots * (r+k) follows it,
+    so no level's scan goes past it.  The scan of a level stops where the
+    current weight plus (slots left) * (column cardinality) cannot beat the
+    best complete code found.
 
     Each candidate that fits is placed and gets a lower bound on the weight
     of every code that completes it: acc + slots * (r+k) - save, where
@@ -242,9 +238,10 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     top = r + k
     cols = [
         col
-        for card in range(r + 1, top + 1)
+        for card in range(r + 1, top)
         for col in combinations(range(1, m + 1), card)
     ]
+    cols.append(tuple(range(1, top + 1)))
     cards = [len(col) for col in cols]
     # Room each candidate takes from the (r+k-1)-subsets, in total.
     uses = [math.comb(m - c, top - 1 - c) if c < top else 0 for c in cards]
@@ -333,22 +330,16 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
 
 
 def uniform_packing_max(
-    k: int,
-    m: int,
-    r: int,
-    cardinality: int,
-    limit: int | None = None,
-    budget: SearchBudget | None = None,
+    k: int, m: int, r: int, cardinality: int, budget: SearchBudget | None = None
 ) -> SearchResult:
     """Largest code whose columns all have the given cardinality.
 
     Searches multisets of cardinality-`cardinality` columns under the same
     containment counters as exact_min_weight, maximizing the column count.
-    `limit` caps the count when the caller only needs that much.  Uncapped
-    runs return the witness of the scan without the canonical rule.
+    An exact run returns the witness of the scan without the canonical rule.
     """
     _check_serviceability(CodeParams(0, k, m, r))
-    _check_limit(limit)
+    cardinality = operator.index(cardinality)
     if not r + 1 <= cardinality <= r + k - 1:
         # Cardinality-(r+k) columns satisfy every subset condition, so their
         # packings are unbounded; nothing to search there.
@@ -368,7 +359,6 @@ def uniform_packing_max(
     node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
     nodes = check_at = 0
     best, best_path = 0, None
-    cap_count = limit if limit is not None else math.inf
 
     def descend(j: int, blocked: int, cells: int, depth: int, state: int, path) -> None:
         """Extend `path` by canonical candidates j, j+1, ... not blocked."""
@@ -377,8 +367,6 @@ def uniform_packing_max(
             return discrete(j, blocked, depth, state, path)
         if depth > best:
             best, best_path = depth, path
-        if depth >= cap_count:
-            return
         skipped = _skip(apart, cells)
         free = blocked | skipped
         while True:
@@ -409,8 +397,6 @@ def uniform_packing_max(
         nonlocal best, best_path, nodes, check_at
         if depth > best:
             best, best_path = depth, path
-        if depth >= cap_count:
-            return
         while True:
             stop = first_at_most[best - depth]
             if j >= stop:
@@ -466,20 +452,15 @@ def gap_base_max(
 
 
 def trivial_weight_max(
-    k: int,
-    m: int,
-    r: int,
-    limit: int | None = None,
-    budget: SearchBudget | None = None,
+    k: int, m: int, r: int, budget: SearchBudget | None = None
 ) -> SearchResult:
     """Largest n for which some code meets the weight floor (r+1)n.
 
     A code meets the floor exactly when every column has cardinality r+1.
     For k=1 the answer is unbounded (repeat any column), reported as value
-    None; `limit` caps the search otherwise.
+    None.
     """
     _check_serviceability(CodeParams(0, k, m, r))
-    _check_limit(limit)
     if k == 1:
         return SearchResult(None, None, True)
-    return uniform_packing_max(k, m, r, r + 1, limit=limit, budget=budget)
+    return uniform_packing_max(k, m, r, r + 1, budget=budget)

@@ -323,7 +323,7 @@ def reference_exact_min_weight(p: CodeParams, budget: SearchBudget) -> SearchRes
 
 
 def reference_uniform_packing_max(
-    k: int, m: int, r: int, cardinality: int, limit, budget: SearchBudget
+    k: int, m: int, r: int, cardinality: int, budget: SearchBudget
 ) -> SearchResult:
     cols = list(itertools.combinations(range(1, m + 1), cardinality))
     state = _RefPlacement(m, k, r, cols)
@@ -334,7 +334,6 @@ def reference_uniform_packing_max(
     best = -1
     best_cols: list[int] = []
     chosen: list[int] = []
-    cap_count = limit if limit is not None else math.inf
 
     def descend(options) -> None:
         nonlocal best, best_cols
@@ -342,8 +341,6 @@ def reference_uniform_packing_max(
         if depth > best:
             best = depth
             best_cols = chosen.copy()
-        if depth >= cap_count:
-            return
         for j in options:
             if depth + suffix[j] <= best:
                 return

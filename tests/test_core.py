@@ -72,6 +72,26 @@ class TestParams:
         with pytest.raises(ValueError):
             CodeParams(1, 1, 1, -1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: CodeParams(4.0, 2, 4, 1),
+            lambda: CodeParams(4, 2.0, 4, 1),
+            lambda: CodeParams(4, 2, 4.0, 1),
+            lambda: CodeParams(4, 2, 4, 1.0),
+            lambda: rcbc.predicted_weight(CodeParams(4.0, 2, 4, 1)),
+            lambda: construct_optimal(CodeParams(4.5, 1, 3, 1)),
+            lambda: rcbc.max_edges_with_girth(8, 4.5),
+            lambda: rcbc.uniform_packing_max(3, 6, 1, 2.5),
+        ],
+        ids=["n", "k", "m", "r", "predicted_weight", "construct_optimal",
+             "max_edges_with_girth", "cardinality"],
+    )
+    def test_rejects_non_integers(self, call):
+        # Whole floats too: every count is an int, as in the CLI's parsing.
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            call()
+
     def test_is_valid_matches_validate(self):
         for n in range(0, 5):
             for k in range(1, 5):

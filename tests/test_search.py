@@ -43,8 +43,8 @@ NODE_CAPS = (1, 37, 20_000)
 
 
 @functools.cache
-def packing_optimum(k, m, r, card, limit):
-    return uniform_packing_max(k, m, r, card, limit).value
+def packing_optimum(k, m, r, card):
+    return uniform_packing_max(k, m, r, card).value
 
 
 def outcome(result):
@@ -260,23 +260,22 @@ class TestAgainstReferenceLoop:
             for r in range(m):
                 for k in range(1, m - r + 1):
                     for card in range(r + 1, min(r + k - 1, m) + 1):
-                        for limit in (None, 3):
-                            args = (k, m, r, card, limit)
-                            got = uniform_packing_max(*args, budget=budget)
-                            want = reference_uniform_packing_max(*args, budget)
-                            assert got.nodes <= want.nodes, args
-                            if want.exact:
-                                assert outcome(got)[:3] == outcome(want)[:3], args
-                                assert got.witness.columns == want.witness.columns, args
-                                continue
-                            if not got.exact:
-                                assert got.bound == "lower", args
-                            code = got.witness
-                            assert code.n == got.value, args
-                            assert all(len(col) == card for col in code.columns), args
-                            if code.n:
-                                assert verify(code, CodeParams(code.n, k, m, r)).ok, args
-                            assert got.value <= packing_optimum(*args), args
+                        args = (k, m, r, card)
+                        got = uniform_packing_max(*args, budget=budget)
+                        want = reference_uniform_packing_max(*args, budget)
+                        assert got.nodes <= want.nodes, args
+                        if want.exact:
+                            assert outcome(got)[:3] == outcome(want)[:3], args
+                            assert got.witness.columns == want.witness.columns, args
+                            continue
+                        if not got.exact:
+                            assert got.bound == "lower", args
+                        code = got.witness
+                        assert code.n == got.value, args
+                        assert all(len(col) == card for col in code.columns), args
+                        if code.n:
+                            assert verify(code, CodeParams(code.n, k, m, r)).ok, args
+                        assert got.value <= packing_optimum(*args), args
 
     @pytest.mark.parametrize("node_limit", NODE_CAPS)
     def test_exact_min_weight(self, node_limit):
@@ -334,6 +333,19 @@ class TestExactMinWeight:
                     got = exact_min_weight(p)
                     assert got.exact
                     assert got.value == brute_min_weight(p), p
+
+    @pytest.mark.parametrize("node_limit", [1, 37, math.inf])
+    def test_only_the_prefix_column_has_cardinality_r_plus_k(self, node_limit):
+        # Of the (r+k)-columns a witness holds only {1, ..., r+k}, the one
+        # candidate the search keeps of that cardinality.
+        budget = SearchBudget(node_limit=node_limit)
+        for m in range(1, 7):
+            for n in range(1, 9):
+                for k, r in valid_kr_pairs(m, n):
+                    witness = exact_min_weight(CodeParams(n, k, m, r), budget).witness
+                    if witness is not None:
+                        top = [c for c in witness.columns if len(c) == r + k]
+                        assert set(top) <= {tuple(range(1, r + k + 1))}, (n, k, m, r)
 
     def test_k1_is_replication(self):
         for n, m, r in [(1, 3, 0), (4, 3, 1), (6, 4, 2), (3, 5, 4)]:
@@ -436,11 +448,6 @@ class TestUniformPackingMax:
         assert all(len(col) == 2 for col in code.columns)
         assert verify(code, CodeParams(code.n, 3, 5, 1)).ok
 
-    def test_limit_caps_the_count(self):
-        result = uniform_packing_max(2, 5, 1, 2, limit=4)
-        assert result.value == 4
-        assert result.witness.n == 4
-
     def test_rejects_out_of_band_cardinality(self):
         with pytest.raises(ValueError):
             uniform_packing_max(2, 5, 1, 1)
@@ -453,30 +460,10 @@ class TestUniformPackingMax:
         with pytest.raises(ParameterError):
             uniform_packing_max(4, 5, 2, 3)  # k > m - r
 
-    def test_limit_above_maximum_changes_nothing(self):
-        result = uniform_packing_max(3, 4, 1, 3)
-        grow = uniform_packing_max(3, 4, 1, 3, limit=result.value + 1)
-        assert grow.value == result.value
-
-    @pytest.mark.parametrize(
-        "limit, message",
-        [(3.5, "limit must be a whole number, got 3.5"),
-         (-1, "limit must be non-negative, got -1"),
-         (math.nan, "limit must be non-negative, got nan")],
-    )
-    def test_rejects_bad_limit(self, limit, message):
-        with pytest.raises(ValueError, match=message):
-            uniform_packing_max(3, 6, 1, 2, limit=limit)
-
-    @pytest.mark.parametrize("limit, same", [(3.0, 3), (math.inf, None)])
-    def test_float_limit_caps_like_its_int(self, limit, same):
-        # A whole float caps as its int, and inf means no cap, as in SearchBudget.
-        assert outcome(uniform_packing_max(3, 6, 1, 2, limit=limit)) == outcome(
-            uniform_packing_max(3, 6, 1, 2, limit=same)
-        )
-        assert outcome(trivial_weight_max(3, 6, 1, limit=limit)) == outcome(
-            trivial_weight_max(3, 6, 1, limit=same)
-        )
+    def test_takes_no_count_cap(self):
+        # Only the budget stops a packing search early.
+        with pytest.raises(TypeError, match="limit"):
+            uniform_packing_max(3, 6, 1, 2, limit=3)
 
 
 class TestGapBaseMax:
@@ -656,17 +643,6 @@ class TestTrivialWeightMax:
         for m in (2, 3, 4, 5):
             for k in range(2, m + 1):
                 assert trivial_weight_max(k, m, 0).value == m
-
-    def test_limit_short_circuits(self):
-        result = trivial_weight_max(2, 6, 1, limit=3)
-        assert result.value == 3
-
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_rejects_bad_limit(self, k):
-        with pytest.raises(ValueError, match="limit must be a whole number, got 2.5"):
-            trivial_weight_max(k, 6, 1, limit=2.5)
-        with pytest.raises(ValueError, match="limit must be non-negative, got -1"):
-            trivial_weight_max(k, 6, 1, limit=-1)
 
     def test_rejects_r_at_least_m(self):
         with pytest.raises(ParameterError):
