@@ -5,8 +5,9 @@ columns are edges.  For 2 <= k < m <= n, the code serves batches of k under
 one server outage exactly when the graph is simple with girth at least k+1.
 So the most edges on m vertices at girth >= g is the largest
 cardinality-2 code for k = g-1 and r = 1.  max_edges_with_girth answers
-girth 3, girth 4 and girth above m in closed form and leaves every other
-girth to that packing search, uniform_packing_max(g-1, m, 1, 2).
+girth above m in closed form and leaves every other girth to that packing
+search, uniform_packing_max(g-1, m, 1, 2), itself a closed form at girth 3
+and 4.
 
 Graph text format: an "m e" header (vertices, edges), then e lines "u v".
 Blank lines and '#' comments are ignored, as in the matrix format.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations
 from typing import Iterable
 
 from .core import BatchCode, _Value
@@ -124,27 +124,20 @@ def max_edges_with_girth(
 ) -> SearchResult:
     """Most edges of a simple graph on m vertices with girth >= girth_min.
 
-    Three cases have closed forms, exact under any budget at 0 nodes: at
-    girth 3 the complete graph; at girth 4 Mantel's K_{ceil(m/2), floor(m/2)}
-    on {1..ceil(m/2)} and the rest, floor(m^2/4) edges; above girth m a
-    star, m-1 edges, since no cycle fits.  Every other girth is answered by
-    uniform_packing_max(girth_min - 1, m, 1, 2), whose codes are these
-    graphs; its result, node count and witness are returned as they are.
+    Above girth m no cycle fits, so a star with m-1 edges is exact at 0
+    nodes.  Every other girth is answered by uniform_packing_max(girth_min -
+    1, m, 1, 2), whose codes are these graphs; its result, node count and
+    witness are returned as they are.  That search answers girth 3 (the
+    complete graph) and girth 4 (Mantel's K_{ceil(m/2), floor(m/2)}) in
+    closed form.
     """
     if m < 1:
         raise ValueError(f"need at least one vertex, got {m}")
     if girth_min < 3:
         raise ValueError(f"girth bound must be at least 3, got {girth_min}")
-    if girth_min == 3:
-        edges = combinations(range(1, m + 1), 2)
-    elif girth_min == 4:
-        half = (m + 1) // 2
-        edges = ((u, v) for u in range(1, half + 1) for v in range(half + 1, m + 1))
-    elif girth_min > m:
-        edges = ((1, v) for v in range(2, m + 1))
-    else:
+    if girth_min <= m:
         return uniform_packing_max(girth_min - 1, m, 1, 2, budget=budget)
-    witness = code_from_graph(SimpleGraph(m, edges))
+    witness = code_from_graph(SimpleGraph(m, ((1, v) for v in range(2, m + 1))))
     return SearchResult(witness.n, witness, True)
 
 

@@ -337,6 +337,13 @@ def uniform_packing_max(
     Searches multisets of cardinality-`cardinality` columns under the same
     containment counters as exact_min_weight, maximizing the column count.
     An exact run returns the witness of the scan without the canonical rule.
+
+    Two cases are closed forms, exact at 0 nodes under any budget, with the
+    scan's value and witness.  At cardinality r+k-1 a column lies in no
+    tracked subset but its support, so every column fits k-1 times.  At
+    k = 3, r = 1, cardinality 2 the codes are triangle-free graphs, whose
+    unique largest is K_{ceil(m/2), floor(m/2)} (Mantel); the scan meets it
+    with {2, ..., ceil(m/2)+1} as one part, giving server 1 the most columns.
     """
     _check_serviceability(CodeParams(0, k, m, r))
     cardinality = operator.index(cardinality)
@@ -348,6 +355,14 @@ def uniform_packing_max(
             f"[{r + 1}, {r + k - 1}]"
         )
     cols = list(combinations(range(1, m + 1), cardinality))
+    if cardinality == r + k - 1 or (k, r, cardinality) == (3, 1, 2):
+        part = range(2, (m + 1) // 2 + 2)
+        closed = (
+            [col for col in cols for _ in range(k - 1)]
+            if cardinality == r + k - 1
+            else [(u, v) for u, v in cols if (u in part) != (v in part)]
+        )
+        return SearchResult(len(closed), BatchCode(m, closed), True)
     start, guard, inc, at, masks, apart = _placement(m, k, r, cols)
     # A column alone fits at most cardinality - r copies (the room of its own
     # support), so candidates j, j+1, ... add at most (len(cols) - j) times

@@ -83,10 +83,20 @@ class TestConstruct:
 
     def test_budget_limited_exit(self, capsys):
         code, _, err = run(
-            capsys, "construct", "--params", "30,3,8,1", "--node-limit", "5"
+            capsys, "construct", "--params", "42,4,8,1", "--node-limit", "5"
         )
         assert code == 3
         assert "within the search budget" in err
+
+    def test_closed_form_base_is_not_budget_limited(self, capsys):
+        # The (3, 8, 1) base is Mantel's closed form, exact under any
+        # budget, and it does not reach n = 30: uncovered, not cut short.
+        code, _, err = run(
+            capsys, "construct", "--params", "30,3,8,1", "--node-limit", "5"
+        )
+        assert code == 2
+        assert "no construction regime covers" in err
+        assert "within the search budget" not in err
 
     def test_invalid_parameters(self, capsys):
         code, _, err = run(capsys, "construct", "--params", "4,4,6,3")

@@ -407,7 +407,7 @@ class TestConstructOptimal:
     def test_budget_exhaustion_is_reported(self):
         # Inside the conceivable gap window, but the base search cannot
         # finish under a five-node budget.
-        p = CodeParams(30, 3, 8, 1)
+        p = CodeParams(42, 4, 8, 1)
         tiny = SearchBudget(node_limit=5)
         with pytest.raises(NoKnownConstruction) as info:
             construct_optimal(p, budget=tiny)

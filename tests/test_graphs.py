@@ -177,8 +177,7 @@ class TestMaxEdges:
                 == trivial_weight_max(3, m, 1).value
             )
         assert max_edges_with_girth(5, 5).value == trivial_weight_max(4, 5, 1).value
-        # The Mantel closed form against the search over triangle-free codes
-        # (k = 3 needs m >= 4).
+        # Girth 4 is the packing of triangle-free codes (k = 3 needs m >= 4).
         for m in range(4, 10):
             mantel = max_edges_with_girth(m, 4).value
             assert mantel == uniform_packing_max(3, m, 1, 2).value, m

@@ -27,7 +27,7 @@ from rcbc import (
     verify,
     weight,
 )
-from rcbc.search import BudgetExhausted, _placement, _skip, checkpoint
+from rcbc.search import DEFAULT_BUDGET, BudgetExhausted, _placement, _skip, checkpoint
 from helpers import (
     _RefExhausted,
     _RefMeter,
@@ -466,6 +466,43 @@ class TestUniformPackingMax:
             uniform_packing_max(3, 6, 1, 2, limit=3)
 
 
+class TestClosedForms:
+    """The top of the band and Mantel's triangle-free graphs are answered
+    without search, exact at 0 nodes under any budget, with the value and
+    witness of the reference loop's exact run."""
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_mantel_matches_reference_loop(self, m):
+        got = uniform_packing_max(3, m, 1, 2, SearchBudget(node_limit=1))
+        want = reference_uniform_packing_max(3, m, 1, 2, DEFAULT_BUDGET)
+        assert want.exact
+        assert (got.value, got.exact, got.nodes) == (m * m // 4, True, 0)
+        assert got.witness.columns == want.witness.columns
+
+    def test_top_of_band_matches_reference_loop(self):
+        for k in range(2, 5):
+            for r in range(3):
+                for m in range(r + k, 8):
+                    args = (k, m, r, r + k - 1)
+                    got = uniform_packing_max(*args, SearchBudget(node_limit=1))
+                    want = reference_uniform_packing_max(*args, DEFAULT_BUDGET)
+                    assert want.exact, args
+                    assert got.value == (k - 1) * math.comb(m, r + k - 1), args
+                    assert (got.value, got.exact, got.nodes) == (want.value, True, 0)
+                    assert got.witness.columns == want.witness.columns, args
+
+    @pytest.mark.parametrize("search", [gap_base_max, trivial_weight_max])
+    def test_triangle_free_base_at_m12(self, search):
+        # The scan does not finish within the default 20M nodes here.
+        result = search(3, 12, 1)
+        assert (result.value, result.exact, result.nodes) == (36, True, 0)
+
+    def test_trivial_weight_max_past_the_recursion_limit(self):
+        # 1225 pairs, each once: deeper than a search could recurse.
+        result = trivial_weight_max(2, 50, 1)
+        assert (result.value, result.exact, result.nodes) == (1_225, True, 0)
+
+
 class TestGapBaseMax:
     def test_balanced_bipartite_values(self):
         # k=3, r=1: cardinality-2 columns, maximum is floor(m^2/4).
@@ -498,7 +535,8 @@ class TestGapBaseMax:
 
 class TestPinnedSearches:
     """Exact (value, exact, nodes) of fixed instances.  The gap_base_max pins
-    were taken from the dict-counter kernel the placement state replaced,
+    were taken from the dict-counter kernel the placement state replaced
+    ((3, 8, 1) is Mantel's closed form, at 0 nodes),
     the exact_min_weight pins from the search with the weight bound; the
     node counts of exact runs were taken again with the canonical rule.
     Node counts include runs cut short by the budget, so any change to the
@@ -507,7 +545,7 @@ class TestPinnedSearches:
     @pytest.mark.parametrize(
         "args, node_limit, expected",
         [
-            ((3, 8, 1), None, (16, True, 2_641)),
+            ((3, 8, 1), None, (16, True, 0)),
             ((4, 10, 2), 300_000, (73, False, 300_000)),
             ((4, 8, 1), 100_000, (29, False, 100_000)),
         ],
@@ -666,7 +704,7 @@ class TestRecursionLimit:
         "search, args",
         [
             (exact_min_weight, (CodeParams(1200, 2, 4, 1),)),
-            (uniform_packing_max, (2, 50, 1, 2)),
+            (uniform_packing_max, (4, 50, 0, 2)),
         ],
         ids=["exact_min_weight", "uniform_packing_max"],
     )
@@ -677,9 +715,12 @@ class TestRecursionLimit:
             search(*args)
 
     def test_below_the_limit_still_proves(self):
-        # C(40, 2) = 780 pairs, every one placed: 780 levels deep.
+        # 900 columns placed: 900 levels deep.
+        result = exact_min_weight(CodeParams(900, 2, 4, 1))
+        assert (result.value, result.exact, result.nodes) == (2_694, True, 913)
+        # C(40, 2) = 780 pairs, each once: a closed form, with no recursion.
         result = uniform_packing_max(2, 40, 1, 2)
-        assert (result.value, result.exact, result.nodes) == (780, True, 1_560)
+        assert (result.value, result.exact, result.nodes) == (780, True, 0)
         # Girth 3 is a closed form: K_50 with no search, so no recursion.
         result = max_edges_with_girth(50, 3)
         assert (result.value, result.exact, result.nodes) == (1_225, True, 0)
