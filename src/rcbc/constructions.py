@@ -1,9 +1,9 @@
 """Closed-form constructions for the solved parameter regimes.
 
-Each constructor returns a code proven optimal in its regime; the regime
-dispatcher `predicted_weight` evaluates every formula whose hypothesis holds
-and insists they agree.  The extension machinery appends cardinality-(r+k-1)
-columns up to a counted capacity.
+Each constructor returns a code proven optimal in its regime.  Each regime is
+one (tag, weight, build) row that `predicted_weight` and `construct_optimal`
+both read; the rows covering one tuple must agree.  Gap bases come from
+`search.gap_base_max`; extension appends (r+k-1)-columns up to a capacity.
 """
 
 from __future__ import annotations
@@ -212,9 +212,6 @@ _base_cache: dict[tuple, search.SearchResult] = {}
 
 
 def _gap_base(k: int, m: int, r: int, budget) -> search.SearchResult:
-    if r == 0:  # every (k-2)-subset once: this meets the counting bound
-        code = BatchCode(m, combinations(range(1, m + 1), k - 2))
-        return search.SearchResult(math.comb(m, k - 2), code, True)
     budget = budget or search.DEFAULT_BUDGET
     hit = _base_cache.get((k, m, r)) or _base_cache.get((k, m, r, budget))
     if hit is None:
@@ -223,31 +220,25 @@ def _gap_base(k: int, m: int, r: int, budget) -> search.SearchResult:
     return hit
 
 
-def predicted_weight(
-    p: CodeParams, budget: search.SearchBudget | None = None
-) -> RegimePrediction:
-    """Evaluate every optimal-weight formula whose hypothesis covers p.
-
-    All applicable formulas must agree (they are facts about the same
-    minimum); the returned tag names the first applicable regime.  Returns
-    an unknown prediction when no regime covers p.  The gap regime needs the
-    base packing maximum, searched under `budget` and cached per (k, m, r),
-    or per (k, m, r, budget) when the budget cut the search short.
-    """
+def _regimes(p: CodeParams, budget) -> tuple[list[tuple], bool]:
+    """(tag, weight, build) rows of the regimes covering p, in dispatch order,
+    and whether only a gap base search cut short by the budget left p uncovered."""
     validate_params(p)
     n, k, m, r = p.n, p.k, p.m, p.r
-    found: list[tuple[str, int]] = []
+    rows: list[tuple] = []
     if k == 1:
-        found.append(("k1", (r + 1) * n))
+        rows.append(("k1", (r + 1) * n,
+                     lambda: BatchCode(m, islice(cycle(_windows(m, r + 1)), n))))
     if n <= m:
-        found.append(("circulant", (r + 1) * n))
+        rows.append(("circulant", (r + 1) * n, lambda: construct_circulant(p)))
     if k == 2 and n <= math.comb(m, r + 1):
-        found.append(("k2-small", (r + 1) * n))
+        rows.append(("k2-small", (r + 1) * n, lambda: BatchCode(
+            m, islice(combinations(range(1, m + 1), r + 1), n))))
     if k == m - r and n >= m:
-        found.append(("max-k", m * (n - m + r + 1)))
+        rows.append(("max-k", m * (n - m + r + 1), lambda: construct_max_k(n, m, r)))
     total = (k - 1) * math.comb(m, r + k - 1)
     if k >= 2 and n >= total:
-        found.append(("large-n", (r + k) * n - total))
+        rows.append(("large-n", (r + k) * n - total, lambda: construct_large_n(p)))
     budget_limited = False
     if k >= 3 and n < total:
         # Cheap prefilter: even the largest conceivable base cannot reach n.
@@ -259,15 +250,28 @@ def predicted_weight(
             assert base.value is not None
             # A lower bound on the base maximum still certifies membership.
             if n >= total - span * base.value:
-                found.append(("gap", (r + k - 1) * n - (total - n) // span))
-    if not found:
-        return RegimePrediction(None, None, budget_limited)
-    values = {v for _, v in found}
-    if len(values) != 1:
-        detail = ", ".join(f"{tag}={v}" for tag, v in found)
+                rows.append(("gap", (r + k - 1) * n - (total - n) // span,
+                             lambda: construct_gap(p, base.witness)))
+    if len({value for _, value, _ in rows}) > 1:
+        detail = ", ".join(f"{tag}={value}" for tag, value, _ in rows)
         raise RuntimeError(f"optimal-weight formulas disagree: {detail}")
-    tag, value = found[0]
-    return RegimePrediction(value, tag)
+    return rows, budget_limited and not rows
+
+
+def predicted_weight(
+    p: CodeParams, budget: search.SearchBudget | None = None
+) -> RegimePrediction:
+    """Evaluate every optimal-weight formula whose hypothesis covers p.
+
+    All applicable formulas must agree (they are facts about the same
+    minimum); the returned tag names the first applicable regime.  Returns
+    an unknown prediction when no regime covers p.  The gap regime needs the
+    base packing maximum from `search.gap_base_max`, cached per (k, m, r),
+    or per (k, m, r, budget) when the budget cut the search short.
+    """
+    rows, budget_limited = _regimes(p, budget)
+    tag, value, _ = rows[0] if rows else (None, None, None)
+    return RegimePrediction(value, tag, budget_limited)
 
 
 def construct_optimal(
@@ -278,23 +282,14 @@ def construct_optimal(
     Raises NoKnownConstruction when no formula covers p; the exception says
     whether a larger search budget might change that.
     """
-    prediction = predicted_weight(p, budget=budget)
-    if not prediction.known:
-        raise NoKnownConstruction(p, budget_limited=prediction.budget_limited)
-    builders = {
-        "k1": lambda: BatchCode(p.m, islice(cycle(_windows(p.m, p.r + 1)), p.n)),
-        "circulant": lambda: construct_circulant(p),
-        "k2-small": lambda: BatchCode(
-            p.m, islice(combinations(range(1, p.m + 1), p.r + 1), p.n)
-        ),
-        "max-k": lambda: construct_max_k(p.n, p.m, p.r),
-        "large-n": lambda: construct_large_n(p),
-        "gap": lambda: construct_gap(p, _gap_base(p.k, p.m, p.r, budget).witness),
-    }
-    code = builders[prediction.regime]()
+    rows, budget_limited = _regimes(p, budget)
+    if not rows:
+        raise NoKnownConstruction(p, budget_limited=budget_limited)
+    tag, value, build = rows[0]
+    code = build()
     actual = weight(code)
-    if actual != prediction.value:
+    if actual != value:
         raise RuntimeError(
-            f"constructed weight {actual} differs from predicted {prediction.value}"
+            f"constructed weight {actual} differs from predicted {value}"
         )
-    return code, prediction
+    return code, RegimePrediction(value, tag)

@@ -450,10 +450,15 @@ def gap_base_max(
     This is the base packing the gap-regime construction shortens and
     extends.  Requires k >= 3 and m >= r+k.  The count never exceeds
     (k-1) C(m, r+k-2) / (r+k-1); that inequality is asserted against the
-    search output, never assumed to be tight.
+    search output, never assumed to be tight.  At r = 0 every (k-2)-subset
+    once meets it: that code is exact at 0 nodes under any budget.
     """
     if k < 3:
         raise ValueError(f"base packings need k >= 3, got k={k}")
+    if r == 0:
+        _check_serviceability(CodeParams(0, k, m, r))
+        subsets = combinations(range(1, m + 1), k - 2)
+        return SearchResult(math.comb(m, k - 2), BatchCode(m, subsets), True)
     result = uniform_packing_max(k, m, r, r + k - 2, budget=budget)
     assert result.value is not None
     bound_lhs = result.value * (r + k - 1)

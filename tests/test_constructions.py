@@ -447,9 +447,9 @@ class TestConstructOptimal:
         from rcbc import search
 
         def no_search(*args, **kwargs):
-            raise AssertionError("gap_base_max ran for an r = 0 base")
+            raise AssertionError("a packing search ran for an r = 0 base")
 
-        monkeypatch.setattr(search, "gap_base_max", no_search)
+        monkeypatch.setattr(search, "uniform_packing_max", no_search)
         p = CodeParams(36, 5, 7, 0)
         code, pred = construct_optimal(p, budget=SearchBudget(node_limit=1))
         assert (pred.regime, pred.value) == ("gap", 4 * 36 - (140 - 36) // 3)

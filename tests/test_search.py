@@ -522,15 +522,43 @@ class TestGapBaseMax:
             assert result.value * (r + k - 1) <= (k - 1) * math.comb(m, r + k - 2)
 
     def test_proves_4_8_0(self):
+        # The closed form; the packing search proves the same 28 columns in
+        # 1,048,632 nodes.
         result = gap_base_max(4, 8, 0, SearchBudget(node_limit=2_000_000))
-        assert (result.value, result.exact) == (28, True)
+        assert (result.value, result.exact, result.nodes) == (28, True, 0)
         assert verify(result.witness, CodeParams(28, 4, 8, 0)).ok
+        scan = uniform_packing_max(4, 8, 0, 2, SearchBudget(node_limit=2_000_000))
+        assert (scan.value, scan.exact, scan.nodes) == (28, True, 1_048_632)
+
+    @pytest.mark.parametrize("node_limit", [None, 1])
+    @pytest.mark.parametrize(
+        "k, m, expected", [(4, 9, 36), (5, 8, 56), (6, 12, 495)]
+    )
+    def test_r0_is_every_k_minus_2_subset_once(self, k, m, expected, node_limit):
+        # C(m, k-2) columns meet the counting bound, so no search runs; the
+        # default budget did not prove (4, 9, 0) or (5, 8, 0) by search.
+        budget = SearchBudget(node_limit=node_limit) if node_limit else None
+        result = gap_base_max(k, m, 0, budget)
+        assert (result.value, result.exact, result.nodes) == (expected, True, 0)
+        subsets = itertools.combinations(range(1, m + 1), k - 2)
+        assert result.witness.columns == tuple(subsets)
+
+    def test_r0_witness_is_the_scans_for_m_at_least_2k_minus_3(self):
+        # There the complete design is the only maximum, so the scan finds it.
+        for m in range(5, 8):
+            want = reference_uniform_packing_max(4, m, 0, 2, DEFAULT_BUDGET)
+            assert want.exact
+            assert gap_base_max(4, m, 0).witness.columns == want.witness.columns, m
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError, match="k >= 3"):
             gap_base_max(2, 5, 1)
         with pytest.raises(ValueError):
             gap_base_max(3, 3, 1)
+        with pytest.raises(ParameterError):
+            gap_base_max(5, 4, 0)
+        with pytest.raises(ValueError, match="k >= 3"):
+            gap_base_max(2, 5, 0)
 
 
 class TestPinnedSearches:
