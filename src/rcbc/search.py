@@ -21,6 +21,16 @@ candidate, by counting the room left in the (r+k-1)-subsets and the
 unblocked candidates, and skips the subtree when the bound cannot beat the
 best code.  A skipped subtree counts no nodes, so its exact runs visit a
 subsequence of the nodes of the scan without the bound, in the same order.
+It records only codes no heavier than U0 = (r+k)n - min(n, (k-1) C(m, r+k-1)),
+the weight of the top-of-band code (each (r+k-1)-subset k-1 times, padded
+with {1, ..., r+k}), which is a code for every valid p.
+
+Each search returns, exact, as soon as its best meets a bound it already
+holds: exact_min_weight when a code weighs its root floor (the weight bound
+at the empty placement), uniform_packing_max when the count reaches the
+counting cap, the least over d in [c, r+k-1] of (d-r) C(m, d) // C(m-c, d-c)
+(a d-subset holds at most d-r columns, and a c-column lies in C(m-c, d-c)
+of them).  No better code exists past either bound.
 
 Server relabelling symmetry is broken at every level.  The placed columns
 split the servers into cells, two servers sharing a cell when every placed
@@ -31,14 +41,17 @@ inside the cells keeps the placed columns, unions of cells, and can move a
 candidate to its cell-prefix set, the least of its images.  So if the first
 code in candidate order of a set closed under relabelling broke the rule at
 some column, relabelling that column would give an earlier code.  Each code
-a search records as best is such a first (the first code, then the first one
-better than the last recorded), so an uncapped run records the same codes,
-prunes alike, and returns the same value and witness in a subsequence of the
-nodes of the search without the rule.  Every cell is a run of servers (a
-cell-prefix column splits a run into two), so `cells` is the bitmask of the
-servers s (from 0) in one cell with s+1; placing candidate j makes it
-cells & ~(masks[j] ^ masks[j] >> 1).  Refining only splits cells, so once
-all cells are single servers uniform_packing_max goes on in a cells-free loop.
+a search records as best is such a first (the first code better than the
+start, U0 + 1 or the empty packing, then the first one better than the last
+recorded), so the last is the first best code in candidate order, whatever
+the start and wherever a bound stops the run.  So an uncapped run records
+the same codes, prunes alike, and returns the same value and witness in a
+subsequence of the nodes of the search without the rule, the start or the
+stops.  Every cell is a run of servers (a cell-prefix column splits a run
+into two), so `cells` is the bitmask of the servers s (from 0) in one cell
+with s+1; placing candidate j makes it cells & ~(masks[j] ^ masks[j] >> 1).
+Refining only splits cells, so once all cells are single servers
+uniform_packing_max goes on in a cells-free loop.
 """
 
 from __future__ import annotations
@@ -118,6 +131,10 @@ class SearchResult(_Value):
 
 class BudgetExhausted(Exception):
     """Raised by checkpoint; args[0] is the node count where the search stopped."""
+
+
+class BoundMet(Exception):
+    """Raised by a search whose best meets a bound no code can pass."""
 
 
 def too_deep(search: str) -> ValueError:
@@ -231,7 +248,8 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     of its nodes.  A run cut short by the budget reports the bound at the
     empty placement as `lower`.  That bound is at least the floor (r+1)n,
     since no copy saves more than k-1, and once n >= (k-1) C(m, r+k-1) it
-    equals the large-n weight n(r+k) - (k-1) C(m, r+k-1).
+    equals the large-n weight n(r+k) - (k-1) C(m, r+k-1).  That is also U0
+    there, so the first code recorded meets it and the run returns, exact.
     """
     validate_params(p)
     n, k, m, r = p.n, p.k, p.m, p.r
@@ -267,9 +285,9 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
 
     room0 = (k - 1) * math.comb(m, top - 1)
     root_floor = weight_floor(0, 0, n, 0, room0)
-    # Above the weight of every candidate multiset, so nothing is pruned
-    # until a code is found.
-    best_weight = top * n + 1
+    # Just above U0, the weight of the top-of-band code, so only codes at
+    # least as light as it are recorded.
+    best_weight = top * n - min(n, room0) + 1
     # Cardinalities are nondecreasing: first_wider[c] is the index of the
     # first candidate of cardinality >= c, where pruning starts.
     first_wider = [bisect_left(cards, c) for c in range(best_weight + 1)]
@@ -286,6 +304,8 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
         if slots == 0:
             if acc < best_weight:
                 best_weight, best = acc, path
+                if acc == root_floor:
+                    raise BoundMet
             return
         skipped = _skip(apart, cells) if cells else 0
         free = blocked | skipped if skipped else blocked
@@ -320,6 +340,8 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
 
     try:
         descend(0, 0, n, 0, room0, (1 << (m - 1)) - 1, start, None)
+    except BoundMet:
+        pass
     except BudgetExhausted as stop:
         witness = _witness(m, cols, best) if best else None
         return SearchResult(root_floor, witness, False, stop.args[0])
@@ -344,6 +366,8 @@ def uniform_packing_max(
     k = 3, r = 1, cardinality 2 the codes are triangle-free graphs, whose
     unique largest is K_{ceil(m/2), floor(m/2)} (Mantel); the scan meets it
     with {2, ..., ceil(m/2)+1} as one part, giving server 1 the most columns.
+    Otherwise the search returns, exact, once the count meets the counting
+    cap of the module docstring.
     """
     _check_serviceability(CodeParams(0, k, m, r))
     cardinality = operator.index(cardinality)
@@ -370,6 +394,11 @@ def uniform_packing_max(
     # pruning starts while the best leads by v.
     copies = cardinality - r
     first_at_most = [len(cols) - v // copies for v in range(len(cols) * copies + 1)]
+    # The counting cap of the module docstring: no code has more columns.
+    cap = min(
+        (d - r) * math.comb(m, d) // math.comb(m - cardinality, d - cardinality)
+        for d in range(cardinality, r + k)
+    )
     budget = budget or DEFAULT_BUDGET
     node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
     nodes = check_at = 0
@@ -382,6 +411,8 @@ def uniform_packing_max(
             return discrete(j, blocked, depth, state, path)
         if depth > best:
             best, best_path = depth, path
+            if best == cap:
+                raise BoundMet
         skipped = _skip(apart, cells)
         free = blocked | skipped
         while True:
@@ -412,6 +443,8 @@ def uniform_packing_max(
         nonlocal best, best_path, nodes, check_at
         if depth > best:
             best, best_path = depth, path
+            if best == cap:
+                raise BoundMet
         while True:
             stop = first_at_most[best - depth]
             if j >= stop:
@@ -435,6 +468,8 @@ def uniform_packing_max(
     exact = True
     try:
         descend(0, 0, (1 << (m - 1)) - 1, 0, start, None)
+    except BoundMet:
+        pass
     except BudgetExhausted as stop:
         exact, nodes = False, stop.args[0]
     except RecursionError:  # one level per placed column
@@ -449,8 +484,8 @@ def gap_base_max(
 
     This is the base packing the gap-regime construction shortens and
     extends.  Requires k >= 3 and m >= r+k.  The count never exceeds
-    (k-1) C(m, r+k-2) / (r+k-1); that inequality is asserted against the
-    search output, never assumed to be tight.  At r = 0 every (k-2)-subset
+    (k-1) C(m, r+k-2) / (r+k-1), the (r+k-1)-subset term of the counting
+    cap at which uniform_packing_max stops.  At r = 0 every (k-2)-subset
     once meets it: that code is exact at 0 nodes under any budget.
     """
     if k < 3:
@@ -459,16 +494,7 @@ def gap_base_max(
         _check_serviceability(CodeParams(0, k, m, r))
         subsets = combinations(range(1, m + 1), k - 2)
         return SearchResult(math.comb(m, k - 2), BatchCode(m, subsets), True)
-    result = uniform_packing_max(k, m, r, r + k - 2, budget=budget)
-    assert result.value is not None
-    bound_lhs = result.value * (r + k - 1)
-    bound_rhs = (k - 1) * math.comb(m, r + k - 2)
-    if bound_lhs > bound_rhs:
-        raise RuntimeError(
-            f"packing of size {result.value} exceeds the counting bound "
-            f"{bound_rhs}/{r + k - 1}; the search is unsound"
-        )
-    return result
+    return uniform_packing_max(k, m, r, r + k - 2, budget=budget)
 
 
 def trivial_weight_max(

@@ -523,12 +523,12 @@ class TestGapBaseMax:
 
     def test_proves_4_8_0(self):
         # The closed form; the packing search proves the same 28 columns in
-        # 1,048,632 nodes.
+        # 775,794 nodes, where it meets the counting cap.
         result = gap_base_max(4, 8, 0, SearchBudget(node_limit=2_000_000))
         assert (result.value, result.exact, result.nodes) == (28, True, 0)
         assert verify(result.witness, CodeParams(28, 4, 8, 0)).ok
         scan = uniform_packing_max(4, 8, 0, 2, SearchBudget(node_limit=2_000_000))
-        assert (scan.value, scan.exact, scan.nodes) == (28, True, 1_048_632)
+        assert (scan.value, scan.exact, scan.nodes) == (28, True, 775_794)
 
     @pytest.mark.parametrize("node_limit", [None, 1])
     @pytest.mark.parametrize(
@@ -561,12 +561,56 @@ class TestGapBaseMax:
             gap_base_max(2, 5, 0)
 
 
+def counting_cap(k, m, r, c):
+    """Most c-columns of any code: a d-subset holds at most d - r of them,
+    and each lies in C(m-c, d-c) of the d-subsets."""
+    return min(
+        (d - r) * math.comb(m, d) // math.comb(m - c, d - c) for d in range(c, r + k)
+    )
+
+
+class TestBoundStops:
+    """A search stops, exact, as soon as its best meets a bound it holds."""
+
+    def test_packing_at_its_counting_cap_is_exact(self):
+        budget = SearchBudget(node_limit=20_000)
+        capped = 0
+        for m in range(1, 9):
+            for r in range(m):
+                for k in range(1, m - r + 1):
+                    for c in range(r + 1, r + k):
+                        result = uniform_packing_max(k, m, r, c, budget)
+                        if result.value == counting_cap(k, m, r, c):
+                            capped += 1
+                            assert result.exact, (k, m, r, c)
+        assert capped == 156
+
+    def test_large_n_meets_the_root_floor_at_once(self):
+        # From n = (k-1) C(m, r+k-1) on, the root floor is the large-n
+        # weight; the search returns at the first code that weighs it, within
+        # one scan of the candidates below its n levels.
+        for m in range(2, 9):
+            for r in range(m - 1):
+                for k in range(2, m - r + 1):
+                    n0 = (k - 1) * math.comb(m, r + k - 1)
+                    candidates = sum(math.comb(m, c) for c in range(r + 1, r + k)) + 1
+                    for n in (n0, n0 + 1):
+                        result = exact_min_weight(CodeParams(n, k, m, r))
+                        assert result.exact, (n, k, m, r)
+                        assert result.value == (r + k) * n - n0, (n, k, m, r)
+                        assert result.nodes < n + candidates, (n, k, m, r)
+        result = exact_min_weight(CodeParams(105, 4, 7, 1))
+        assert (result.value, result.exact) == (420, True)
+        assert result.nodes < 200
+
+
 class TestPinnedSearches:
     """Exact (value, exact, nodes) of fixed instances.  The gap_base_max pins
     were taken from the dict-counter kernel the placement state replaced
     ((3, 8, 1) is Mantel's closed form, at 0 nodes),
     the exact_min_weight pins from the search with the weight bound; the
-    node counts of exact runs were taken again with the canonical rule.
+    node counts of exact runs were taken again with the canonical rule, and
+    again with the stops at the root floor and the counting cap.
     Node counts include runs cut short by the budget, so any change to the
     order, the pruning or the node counting shows here."""
 
@@ -576,6 +620,9 @@ class TestPinnedSearches:
             ((3, 8, 1), None, (16, True, 0)),
             ((4, 10, 2), 300_000, (73, False, 300_000)),
             ((4, 8, 1), 100_000, (29, False, 100_000)),
+            ((4, 6, 2), None, (9, True, 30)),
+            # Meets its counting cap at this node, well inside the budget.
+            ((3, 9, 5), None, (24, True, 949_187)),
         ],
     )
     def test_gap_base_max(self, args, node_limit, expected):
@@ -584,6 +631,7 @@ class TestPinnedSearches:
         assert (result.value, result.exact, result.nodes) == expected
         assert result.bound == ("exact" if result.exact else "lower")
         assert result.witness.n == result.value
+        assert verify(result.witness, CodeParams(result.value, *args)).ok
 
     def test_gap_base_max_witness(self):
         # Mantel: the balanced complete bipartite graph K_{4,4}, found in
@@ -681,7 +729,8 @@ class TestPinnedSearches:
 
     def test_exact_min_weight(self):
         result = exact_min_weight(CodeParams(20, 3, 5, 1))
-        assert (result.value, result.exact, result.nodes) == (60, True, 295)
+        # The first code of weight 60 meets the root floor, at node 30.
+        assert (result.value, result.exact, result.nodes) == (60, True, 30)
         # Two copies of every 3-subset of the 5 servers.
         assert result.witness.columns == tuple(
             col for col in itertools.combinations(range(1, 6), 3) for _ in range(2)
@@ -745,7 +794,7 @@ class TestRecursionLimit:
     def test_below_the_limit_still_proves(self):
         # 900 columns placed: 900 levels deep.
         result = exact_min_weight(CodeParams(900, 2, 4, 1))
-        assert (result.value, result.exact, result.nodes) == (2_694, True, 913)
+        assert (result.value, result.exact, result.nodes) == (2_694, True, 906)
         # C(40, 2) = 780 pairs, each once: a closed form, with no recursion.
         result = uniform_packing_max(2, 40, 1, 2)
         assert (result.value, result.exact, result.nodes) == (780, True, 0)
