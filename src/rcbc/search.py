@@ -32,6 +32,19 @@ counting cap, the least over d in [c, r+k-1] of (d-r) C(m, d) // C(m-c, d-c)
 (a d-subset holds at most d-r columns, and a c-column lies in C(m-c, d-c)
 of them).  No better code exists past either bound.
 
+exact_min_weight returns the top-of-band code at 0 nodes, before building
+its tables, when the root floor equals U0 and k <= 2 or m > r+k; it is the
+code the scan returns.  At k = 1 it is the one code over the candidates.
+At k = 2 the floor is always U0, met by min(n, C(m, r+1)) distinct
+(r+1)-columns, and the scan takes the lexicographically first.  At k >= 3
+the floor meets U0 only when n >= (k-1) C(m, r+k-1) (below that the
+cheapest candidates save more than one per slot), and with m > r+k a
+c-column with c < r+k-1 saves r+k-c but takes C(m-c, r+k-1-c) > r+k-c units
+of the room (k-1) C(m, r+k-1): saving all of it needs every (r+k-1)-subset
+k-1 times, so that is the only optimal code.  Max-k tuples (m = r+k) with
+k >= 3 are searched, as other optimal codes exist there ((6,3,3,0) scans to
+{1}, {2}, {3} and three full columns).
+
 Server relabelling symmetry is broken at every level.  The placed columns
 split the servers into cells, two servers sharing a cell when every placed
 column holds both or neither, and the next column must hold the
@@ -81,7 +94,8 @@ class SearchBudget(_Value):
     """Node and wall-clock caps for a search; positive, with inf for no cap.
 
     A search stops as it counts its node_limit-th node, so one that needs
-    exactly N nodes reports exact=False under node_limit=N.
+    exactly N nodes reports exact=False under node_limit=N.  An answer found
+    at 0 nodes (a closed form) is exact under any budget.
     """
 
     node_limit: int
@@ -250,6 +264,10 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     since no copy saves more than k-1, and once n >= (k-1) C(m, r+k-1) it
     equals the large-n weight n(r+k) - (k-1) C(m, r+k-1).  That is also U0
     there, so the first code recorded meets it and the run returns, exact.
+
+    When the root floor equals U0 and k <= 2 or m > r+k, the top-of-band
+    code is the scan's answer (module docstring) and is returned at 0 nodes
+    under any budget, with no tables built.
     """
     validate_params(p)
     n, k, m, r = p.n, p.k, p.m, p.r
@@ -285,9 +303,12 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
 
     room0 = (k - 1) * math.comb(m, top - 1)
     root_floor = weight_floor(0, 0, n, 0, room0)
-    # Just above U0, the weight of the top-of-band code, so only codes at
-    # least as light as it are recorded.
-    best_weight = top * n - min(n, room0) + 1
+    u0 = top * n - min(n, room0)  # the weight of the top-of-band code
+    if root_floor == u0 and (k <= 2 or k < m - r):
+        band = [col for col in cols if len(col) == top - 1 for _ in range(k - 1)]
+        return SearchResult(u0, BatchCode(m, (band + [cols[-1]] * n)[:n]), True)
+    # Just above U0, so only codes at least as light as it are recorded.
+    best_weight = u0 + 1
     # Cardinalities are nondecreasing: first_wider[c] is the index of the
     # first candidate of cardinality >= c, where pruning starts.
     first_wider = [bisect_left(cards, c) for c in range(best_weight + 1)]

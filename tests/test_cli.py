@@ -618,7 +618,7 @@ class TestEntryPoint:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["optimal", "--params", "1200,2,4,1"],
+            ["optimal", "--params", "1200,3,4,1"],
         ],
     )
     def test_search_past_the_recursion_limit_exits_2(self, argv):

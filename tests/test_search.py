@@ -303,6 +303,37 @@ class TestAgainstReferenceLoop:
                         # The root bound lies between the floor and the optimum.
                         assert want.value <= got.value <= exact_min_weight(p).value, p
 
+    def test_exact_min_weight_at_the_root(self):
+        # Where the root floor meets U0 and the top-of-band code is the
+        # scan's (k <= 2, or m > r+k and n >= (k-1) C(m, r+k-1)), the answer
+        # comes before the first node, so a 1-node budget gets the uncapped
+        # reference's value and witness.  Max-k tuples with k >= 3 search.
+        # No large-n tuple with k >= 3 has n <= 8, so the grid gets those
+        # with k = 3, m <= 5 at n = 2 C(m, r+2) and one more (the reference
+        # takes seconds on the next, (30, 4, 5, 0)).
+        first, uncapped = SearchBudget(node_limit=1), SearchBudget(node_limit=math.inf)
+        tuples = [
+            CodeParams(n, k, m, r)
+            for m in range(1, 7)
+            for n in range(1, 9)
+            for k, r in valid_kr_pairs(m, n)
+        ]
+        for m, r in [(4, 0), (5, 0), (5, 1)]:
+            n0 = 2 * math.comb(m, r + 2)
+            tuples += [CodeParams(n0, 3, m, r), CodeParams(n0 + 1, 3, m, r)]
+        answered = searched = 0
+        for p in tuples:
+            n, k, m, r = p.n, p.k, p.m, p.r
+            got = exact_min_weight(p, first)
+            if k <= 2 or (k < m - r and n >= (k - 1) * math.comb(m, r + k - 1)):
+                want = reference_exact_min_weight(p, uncapped)
+                assert outcome(got) == (*outcome(want)[:3], 0, want.witness.columns), p
+                answered += 1
+            elif k == m - r:
+                assert got.nodes > 0, p
+                searched += 1
+        assert (answered, searched) == (279, 50)
+
 
 class TestExactMinWeight:
     def test_known_values(self):
@@ -382,10 +413,11 @@ class TestExactMinWeight:
         assert result.nodes < 60
 
     def test_budget_exhaustion_reports_root_bound(self):
-        # n = (k-1) C(m, r+k-1) = 20: the room count gives the large-n
-        # weight n(r+k) - (k-1) C(m, r+k-1) = 60 before any column is placed.
-        result = exact_min_weight(CodeParams(20, 3, 5, 1), SearchBudget(node_limit=1))
-        assert (result.value, result.exact, result.bound) == (60, False, "lower")
+        # A max-k tuple (m = r+k) with k = 3 is still searched.  n = 20 is
+        # past (k-1) C(m, r+k-1) = 8, so the room count gives the large-n
+        # weight n(r+k) - (k-1) C(m, r+k-1) = 72 before any column is placed.
+        result = exact_min_weight(CodeParams(20, 3, 4, 1), SearchBudget(node_limit=1))
+        assert (result.value, result.exact, result.bound) == (72, False, "lower")
 
     def test_proves_12_5_6_0(self):
         # The one tuple with m <= 6, n <= 12 that needs the cells at 1M nodes.
@@ -609,8 +641,9 @@ class TestPinnedSearches:
     were taken from the dict-counter kernel the placement state replaced
     ((3, 8, 1) is Mantel's closed form, at 0 nodes),
     the exact_min_weight pins from the search with the weight bound; the
-    node counts of exact runs were taken again with the canonical rule, and
-    again with the stops at the root floor and the counting cap.
+    node counts of exact runs were taken again with the canonical rule,
+    again with the stops at the root floor and the counting cap, and again
+    with the top-of-band code returned at the root.
     Node counts include runs cut short by the budget, so any change to the
     order, the pruning or the node counting shows here."""
 
@@ -729,8 +762,9 @@ class TestPinnedSearches:
 
     def test_exact_min_weight(self):
         result = exact_min_weight(CodeParams(20, 3, 5, 1))
-        # The first code of weight 60 meets the root floor, at node 30.
-        assert (result.value, result.exact, result.nodes) == (60, True, 30)
+        # The root floor is already U0 = 60 and m > r+k, so the top-of-band
+        # code is returned with no search.
+        assert (result.value, result.exact, result.nodes) == (60, True, 0)
         # Two copies of every 3-subset of the 5 servers.
         assert result.witness.columns == tuple(
             col for col in itertools.combinations(range(1, 6), 3) for _ in range(2)
@@ -780,7 +814,7 @@ class TestRecursionLimit:
     @pytest.mark.parametrize(
         "search, args",
         [
-            (exact_min_weight, (CodeParams(1200, 2, 4, 1),)),
+            (exact_min_weight, (CodeParams(1200, 3, 4, 1),)),
             (uniform_packing_max, (4, 50, 0, 2)),
         ],
         ids=["exact_min_weight", "uniform_packing_max"],
@@ -793,8 +827,11 @@ class TestRecursionLimit:
 
     def test_below_the_limit_still_proves(self):
         # 900 columns placed: 900 levels deep.
+        result = exact_min_weight(CodeParams(900, 3, 4, 1))
+        assert (result.value, result.exact, result.nodes) == (3_592, True, 910)
+        # At k = 2 the top-of-band code meets the root floor: no recursion.
         result = exact_min_weight(CodeParams(900, 2, 4, 1))
-        assert (result.value, result.exact, result.nodes) == (2_694, True, 906)
+        assert (result.value, result.exact, result.nodes) == (2_694, True, 0)
         # C(40, 2) = 780 pairs, each once: a closed form, with no recursion.
         result = uniform_packing_max(2, 40, 1, 2)
         assert (result.value, result.exact, result.nodes) == (780, True, 0)
