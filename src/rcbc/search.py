@@ -63,8 +63,6 @@ subsequence of the nodes of the search without the rule, the start or the
 stops.  Every cell is a run of servers (a cell-prefix column splits a run
 into two), so `cells` is the bitmask of the servers s (from 0) in one cell
 with s+1; placing candidate j makes it cells & ~(masks[j] ^ masks[j] >> 1).
-Refining only splits cells, so once all cells are single servers
-uniform_packing_max goes on in a cells-free loop.
 """
 
 from __future__ import annotations
@@ -351,8 +349,8 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
             full = (after ^ state) & guard  # the subsets fit fills
             child = blocked
             while full:
-                child |= at[full.bit_length()]
-                full ^= 1 << full.bit_length() - 1
+                child |= at[t := full.bit_length()]
+                full ^= 1 << t - 1
             weight, left = acc + cards[fit], room - uses[fit]
             if weight_floor(fit, child, slots - 1, weight, left) < best_weight:
                 split = cells & ~(masks[fit] ^ masks[fit] >> 1)
@@ -428,14 +426,12 @@ def uniform_packing_max(
     def descend(j: int, blocked: int, cells: int, depth: int, state: int, path) -> None:
         """Extend `path` by canonical candidates j, j+1, ... not blocked."""
         nonlocal best, best_path, nodes, check_at
-        if not cells:
-            return discrete(j, blocked, depth, state, path)
         if depth > best:
             best, best_path = depth, path
             if best == cap:
                 raise BoundMet
-        skipped = _skip(apart, cells)
-        free = blocked | skipped
+        skipped = _skip(apart, cells) if cells else 0
+        free = blocked | skipped if skipped else blocked
         while True:
             stop = first_at_most[best - depth]
             if j >= stop:
@@ -443,8 +439,9 @@ def uniform_packing_max(
             x = free >> j
             fit = j + (x ^ (x + 1)).bit_length() - 1  # next candidate to place
             end = fit + 1 if fit < stop else stop
-            # Candidates that are not canonical are not nodes.
-            nodes += end - j - (skipped >> j & ~(-1 << end - j)).bit_count()
+            nodes += end - j
+            if skipped:  # candidates that are not canonical are not nodes
+                nodes -= (skipped >> j & ~(-1 << end - j)).bit_count()
             if nodes >= check_at:
                 check_at = checkpoint(nodes, check_at, node_limit, deadline)
             if fit >= stop:
@@ -453,37 +450,10 @@ def uniform_packing_max(
             full = (after ^ state) & guard  # the subsets fit fills
             child = blocked
             while full:
-                child |= at[full.bit_length()]
-                full ^= 1 << full.bit_length() - 1
-            split = cells & ~(masks[fit] ^ masks[fit] >> 1)
+                child |= at[t := full.bit_length()]
+                full ^= 1 << t - 1
+            split = cells and cells & ~(masks[fit] ^ masks[fit] >> 1)
             descend(fit, child, split, depth + 1, after, (path, fit))
-            j = fit + 1
-
-    def discrete(j: int, blocked: int, depth: int, state: int, path) -> None:
-        """descend without cells: every candidate is canonical."""
-        nonlocal best, best_path, nodes, check_at
-        if depth > best:
-            best, best_path = depth, path
-            if best == cap:
-                raise BoundMet
-        while True:
-            stop = first_at_most[best - depth]
-            if j >= stop:
-                return
-            x = blocked >> j
-            fit = j + (x ^ (x + 1)).bit_length() - 1  # next candidate to place
-            nodes += (fit + 1 if fit < stop else stop) - j
-            if nodes >= check_at:
-                check_at = checkpoint(nodes, check_at, node_limit, deadline)
-            if fit >= stop:
-                return
-            after = state + inc[fit]
-            full = (after ^ state) & guard  # the subsets fit fills
-            child = blocked
-            while full:
-                child |= at[full.bit_length()]
-                full ^= 1 << full.bit_length() - 1
-            discrete(fit, child, depth + 1, after, (path, fit))
             j = fit + 1
 
     exact = True

@@ -738,6 +738,38 @@ class TestPinnedSearches:
             (3, 7, 8),
         )
 
+    # Runs stopped while some cell still holds two servers, where refining
+    # the cells and not counting the skipped candidates decide the stop.
+    # Values and witnesses taken from the search with a separate cells-free
+    # loop.
+    @pytest.mark.parametrize(
+        "search, node_limit, expected, columns",
+        [
+            (functools.partial(gap_base_max, 4, 10, 2), 25, (10, False, 25), (
+                (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 3, 7),
+                (1, 2, 3, 8), (1, 2, 3, 9), (1, 2, 3, 10), (1, 2, 5, 6), (1, 2, 5, 7),
+            )),
+            (functools.partial(gap_base_max, 4, 10, 2), 50, (22, False, 50), (
+                (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 3, 7),
+                (1, 2, 3, 8), (1, 2, 3, 9), (1, 2, 3, 10), (1, 2, 5, 6), (1, 2, 5, 7),
+                (1, 2, 5, 8), (1, 2, 5, 9), (1, 2, 5, 10), (1, 2, 6, 7), (1, 2, 6, 8),
+                (1, 2, 6, 9), (1, 2, 6, 10), (1, 2, 7, 8), (1, 2, 7, 9), (1, 2, 7, 10),
+                (1, 2, 8, 9), (1, 2, 8, 10),
+            )),
+            (functools.partial(max_edges_with_girth, 7, 5), 100, (7, False, 100), (
+                (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 7), (6, 7),
+            )),
+            # Counting the skipped candidates as nodes stops this run at 6.
+            (functools.partial(max_edges_with_girth, 7, 5), 94, (7, False, 94), (
+                (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 7), (6, 7),
+            )),
+        ],
+    )
+    def test_capped_in_the_cell_phase(self, search, node_limit, expected, columns):
+        result = search(budget=SearchBudget(node_limit=node_limit))
+        assert (result.value, result.exact, result.nodes) == expected
+        assert result.witness.columns == columns
+
     @pytest.mark.parametrize(
         "node_limit, columns",
         [
