@@ -4,7 +4,8 @@ Searches run over multisets of candidate columns in nondecreasing
 (cardinality, lexicographic) order, so every result and witness is
 deterministic.  At most |I| - r columns may sit inside each server subset I
 with r+1 <= |I| <= r+k-1; a completed multiset within every such room is
-exactly a code, and columns of cardinality r+k touch no subset.
+exactly a code, and columns of cardinality r+k touch no subset.  Rooms are
+kept only for sizes a candidate can fill: no I smaller than every candidate.
 
 Each level of a depth-first search holds the rooms left, as the fields of
 one int (`_placement`), and a bitmask of the candidates that no longer fit
@@ -14,23 +15,20 @@ fits.  Pruning is a precomputed index past which no extension can beat the
 best found.  A node is one candidate considered, whether it fits or not.
 Each search keeps one running count and calls `checkpoint` at the pending
 checkpoint, so the unfit candidates jumped over are counted in bulk and the
-budget stops a search where a one-by-one count would.
+budget stops a search where a one-by-one count would.  The deadline starts
+before the set-up (candidates and tables); the node limit counts no set-up.
 
-exact_min_weight also bounds the weight of every code completing a placed
-candidate, by counting the room left in the (r+k-1)-subsets and the
-unblocked candidates, and skips the subtree when the bound cannot beat the
-best code.  A skipped subtree counts no nodes, so its exact runs visit a
-subsequence of the nodes of the scan without the bound, in the same order.
-It records only codes no heavier than U0 = (r+k)n - min(n, (k-1) C(m, r+k-1)),
-the weight of the top-of-band code (each (r+k-1)-subset k-1 times, padded
-with {1, ..., r+k}), which is a code for every valid p.
+exact_min_weight also skips each subtree whose weight bound (its docstring)
+cannot beat the best code, and records only codes no heavier than U0 =
+(r+k)n - min(n, (k-1) C(m, r+k-1)), the weight of the top-of-band code (each
+(r+k-1)-subset k-1 times, padded with {1, ..., r+k}), a code for any valid p.
 
-Each search returns, exact, as soon as its best meets a bound it already
-holds: exact_min_weight when a code weighs its root floor (the weight bound
-at the empty placement), uniform_packing_max when the count reaches the
-counting cap, the least over d in [c, r+k-1] of (d-r) C(m, d) // C(m-c, d-c)
-(a d-subset holds at most d-r columns, and a c-column lies in C(m-c, d-c)
-of them).  No better code exists past either bound.
+Each search ends in `_explore`, and returns, exact, as soon as its best meets
+a bound it already holds: exact_min_weight when a code weighs its root floor
+(the weight bound at the empty placement), uniform_packing_max when the count
+reaches the counting cap, the least over d in [c, r+k-1] of
+(d-r) C(m, d) // C(m-c, d-c), as a d-subset holds at most d-r columns and a
+c-column lies in C(m-c, d-c) of them.  No code passes either bound.
 
 exact_min_weight returns the top-of-band code at 0 nodes, before building
 its tables, when the root floor equals U0 and k <= 2 or m > r+k; it is the
@@ -149,10 +147,19 @@ class BoundMet(Exception):
     """Raised by a search whose best meets a bound no code can pass."""
 
 
-def too_deep(search: str) -> ValueError:
-    """The error for a search that recursed past the interpreter's limit."""
-    limit = sys.getrecursionlimit()
-    return ValueError(f"{search} recurses past Python's recursion limit ({limit})")
+def _explore(search: str, descend, *root) -> int | None:
+    """Run descend(*root): None once it ends exact (its scan finished or it
+    raised BoundMet), else the node count (> 0) where the budget stopped it."""
+    try:
+        descend(*root)
+    except BoundMet:
+        pass
+    except BudgetExhausted as stop:
+        return stop.args[0]
+    except RecursionError:  # one level per placed column
+        limit = f"Python's recursion limit ({sys.getrecursionlimit()})"
+        raise ValueError(f"{search} recurses past {limit}") from None
+    return None
 
 
 def checkpoint(nodes: int, check_at: int, node_limit: int, deadline: float) -> int:
@@ -174,19 +181,20 @@ def checkpoint(nodes: int, check_at: int, node_limit: int, deadline: float) -> i
 def _placement(m: int, k: int, r: int, columns: list[tuple[int, ...]]) -> tuple:
     """Tables (start, guard, inc, at, masks, apart) over the candidate columns.
 
-    A state has a w-bit field, w = (k-1).bit_length() + 1, per tracked subset
-    I (larger I first) holding 2^(w-1) less the room left in I (|I| - r in
-    `start`), so I is full when the field's top bit, its bit in `guard`, is
-    set.  inc[j] has a 1 in the field of each subset holding candidate j
-    (those j touches), so placing a j that touches no full subset adds inc[j]
-    with no carry.  at[t] has bit j set when j touches the subset whose guard
-    bit has bit length t.  masks[j] is j's server bitmask (server s at bit
-    s-1), and apart[s] has bit j set when j holds server s+2 but not s+1.
+    A state has a w-bit field, w = (k-1).bit_length() + 1, per subset I with
+    c0 <= |I| <= r+k-1, c0 the least candidate cardinality (a smaller I holds
+    no candidate), larger I first, holding 2^(w-1) less the room left in I
+    (|I| - r in `start`), so I is full when its field's top bit, its bit in
+    `guard`, is set.  inc[j] has a 1 in the field of each subset holding
+    candidate j (those j touches), so placing a j that touches no full subset
+    adds inc[j] with no carry.  at[t] has bit j set when j touches the subset
+    whose guard bit has bit length t.  masks[j] is j's server bitmask (server
+    s at bit s-1); apart[s] has bit j set when j holds server s+2, not s+1.
     """
     w = (k - 1).bit_length() + 1
     index: dict[int, int] = {}  # subset bitmask -> lowest bit of its field
     start = 0
-    for d in range(r + k - 1, r, -1):
+    for d in range(r + k - 1, min(map(len, columns)) - 1, -1):
         ones = ((1 << w * math.comb(m, d)) - 1) // ((1 << w) - 1)  # 1 per field
         start |= ((1 << w - 1) - (d - r)) * ones << w * len(index)
         for subset in map(sum, combinations([1 << b for b in range(m)], d)):
@@ -269,6 +277,8 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     """
     validate_params(p)
     n, k, m, r = p.n, p.k, p.m, p.r
+    budget = budget or DEFAULT_BUDGET  # the deadline covers the set-up below
+    node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
     top = r + k
     cols = [
         col
@@ -311,8 +321,6 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
     # first candidate of cardinality >= c, where pruning starts.
     first_wider = [bisect_left(cards, c) for c in range(best_weight + 1)]
     start, guard, inc, at, masks, apart = _placement(m, k, r, cols)
-    budget = budget or DEFAULT_BUDGET
-    node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
     nodes = check_at = 0
     best = None
 
@@ -357,15 +365,10 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
                 descend(fit, child, slots - 1, weight, left, split, after, (path, fit))
             j = fit + 1
 
-    try:
-        descend(0, 0, n, 0, room0, (1 << (m - 1)) - 1, start, None)
-    except BoundMet:
-        pass
-    except BudgetExhausted as stop:
+    root = (0, 0, n, 0, room0, (1 << (m - 1)) - 1, start, None)
+    if stopped := _explore("exact_min_weight", descend, *root):
         witness = _witness(m, cols, best) if best else None
-        return SearchResult(root_floor, witness, False, stop.args[0])
-    except RecursionError:  # one level per placed column
-        raise too_deep("exact_min_weight") from None
+        return SearchResult(root_floor, witness, False, stopped)
     assert best is not None  # all-(r+k)-cardinality multisets are always codes
     return SearchResult(best_weight, _witness(m, cols, best), True, nodes)
 
@@ -397,6 +400,8 @@ def uniform_packing_max(
             f"cardinality {cardinality} outside the constrained band "
             f"[{r + 1}, {r + k - 1}]"
         )
+    budget = budget or DEFAULT_BUDGET  # the deadline covers the set-up below
+    node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
     cols = list(combinations(range(1, m + 1), cardinality))
     if cardinality == r + k - 1 or (k, r, cardinality) == (3, 1, 2):
         part = range(2, (m + 1) // 2 + 2)
@@ -418,8 +423,6 @@ def uniform_packing_max(
         (d - r) * math.comb(m, d) // math.comb(m - cardinality, d - cardinality)
         for d in range(cardinality, r + k)
     )
-    budget = budget or DEFAULT_BUDGET
-    node_limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
     nodes = check_at = 0
     best, best_path = 0, None
 
@@ -456,16 +459,10 @@ def uniform_packing_max(
             descend(fit, child, split, depth + 1, after, (path, fit))
             j = fit + 1
 
-    exact = True
-    try:
-        descend(0, 0, (1 << (m - 1)) - 1, 0, start, None)
-    except BoundMet:
-        pass
-    except BudgetExhausted as stop:
-        exact, nodes = False, stop.args[0]
-    except RecursionError:  # one level per placed column
-        raise too_deep("uniform_packing_max") from None
-    return SearchResult(best, _witness(m, cols, best_path), exact, nodes)
+    root = (0, 0, (1 << (m - 1)) - 1, 0, start, None)
+    stopped = _explore("uniform_packing_max", descend, *root)
+    witness = _witness(m, cols, best_path)
+    return SearchResult(best, witness, not stopped, stopped or nodes)
 
 
 def gap_base_max(

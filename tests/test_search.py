@@ -85,6 +85,21 @@ class TestBudget:
         result = search(SearchBudget(time_limit=1e-9))
         assert (result.value, result.exact, result.nodes) == expected
 
+    def test_deadline_covers_the_set_up(self, monkeypatch):
+        # The clock passes the time limit while the tables are built, so the
+        # search stops at its first checkpoint.  A deadline started after the
+        # set-up would let it prove 14 columns exact in 122,499 nodes.
+        clock = [0.0]
+        monkeypatch.setattr("rcbc.search.time.monotonic", lambda: clock[0])
+
+        def slow_placement(*args):
+            clock[0] += 10.0
+            return _placement(*args)
+
+        monkeypatch.setattr("rcbc.search._placement", slow_placement)
+        result = gap_base_max(4, 6, 1, SearchBudget(time_limit=5.0))
+        assert (result.exact, result.nodes) == (False, 4_096)
+
     def test_whole_float_limit_counts_in_ints(self):
         assert type(SearchBudget(node_limit=5000.0).node_limit) is int
         result = exact_min_weight(CodeParams(30, 4, 7, 1), SearchBudget(5000.0))
@@ -244,6 +259,17 @@ class TestPackedRooms:
                     1 << c for c in range(len(cols)) if ref.mask[c] & ref.full
                 )
                 assert blocked == expected
+
+    def test_rooms_only_for_subsets_a_candidate_can_fill(self):
+        # uniform_packing_max's tables at (k, m, r, c) = (4, 10, 2, 4): one
+        # field per 4- and 5-subset, C(10, 4) + C(10, 5) = 462, and none for
+        # the 3-subsets, which hold no 4-column.
+        k, m, r = 4, 10, 2
+        cols = list(itertools.combinations(range(1, m + 1), 4))
+        _, guard, _, at, _, _ = _placement(m, k, r, cols)
+        w = (k - 1).bit_length() + 1
+        assert guard.bit_count() == math.comb(10, 4) + math.comb(10, 5) == 462
+        assert guard.bit_length() == len(at) - 1 == w * 462  # no further field
 
 
 class TestAgainstReferenceLoop:
