@@ -196,10 +196,9 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
         f"# exact: {'yes' if result.exact else 'no'}\n"
         f"# nodes: {result.nodes}\n"
     )
-    if result.witness is not None:
-        if not result.exact:
-            text += f"# best-found-weight: {weight(result.witness)}\n"
-        text += render_matrix(result.witness)
+    if not result.exact:
+        text += f"# best-found-weight: {weight(result.witness)}\n"
+    text += render_matrix(result.witness)
     _emit(text, args.out)
     return 0 if result.exact else 3
 

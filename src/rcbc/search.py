@@ -19,29 +19,17 @@ budget stops a search where a one-by-one count would.  The deadline starts
 before the set-up (candidates and tables); the node limit counts no set-up.
 
 exact_min_weight also skips each subtree whose weight bound (its docstring)
-cannot beat the best code, and records only codes no heavier than U0 =
-(r+k)n - min(n, (k-1) C(m, r+k-1)), the weight of the top-of-band code (each
-(r+k-1)-subset k-1 times, padded with {1, ..., r+k}), a code for any valid p.
+cannot beat the best code.  Its best starts as the top-of-band code (each
+(r+k-1)-subset k-1 times, padded with {1, ..., r+k}, the first n columns), a
+code for any valid p, of weight U0 = (r+k)n - min(n, (k-1) C(m, r+k-1)).
 
 Each search ends in `_explore`, and returns, exact, as soon as its best meets
-a bound it already holds: exact_min_weight when a code weighs its root floor
-(the weight bound at the empty placement), uniform_packing_max when the count
+a bound it already holds: exact_min_weight when its best weighs its root
+floor (the weight bound at the empty placement; so at 0 nodes, before any
+table is built, when that floor is U0), uniform_packing_max when the count
 reaches the counting cap, the least over d in [c, r+k-1] of
 (d-r) C(m, d) // C(m-c, d-c), as a d-subset holds at most d-r columns and a
 c-column lies in C(m-c, d-c) of them.  No code passes either bound.
-
-exact_min_weight returns the top-of-band code at 0 nodes, before building
-its tables, when the root floor equals U0 and k <= 2 or m > r+k; it is the
-code the scan returns.  At k = 1 it is the one code over the candidates.
-At k = 2 the floor is always U0, met by min(n, C(m, r+1)) distinct
-(r+1)-columns, and the scan takes the lexicographically first.  At k >= 3
-the floor meets U0 only when n >= (k-1) C(m, r+k-1) (below that the
-cheapest candidates save more than one per slot), and with m > r+k a
-c-column with c < r+k-1 saves r+k-c but takes C(m-c, r+k-1-c) > r+k-c units
-of the room (k-1) C(m, r+k-1): saving all of it needs every (r+k-1)-subset
-k-1 times, so that is the only optimal code.  Max-k tuples (m = r+k) with
-k >= 3 are searched, as other optimal codes exist there ((6,3,3,0) scans to
-{1}, {2}, {3} and three full columns).
 
 Server relabelling symmetry is broken at every level.  The placed columns
 split the servers into cells, two servers sharing a cell when every placed
@@ -53,14 +41,16 @@ candidate to its cell-prefix set, the least of its images.  So if the first
 code in candidate order of a set closed under relabelling broke the rule at
 some column, relabelling that column would give an earlier code.  Each code
 a search records as best is such a first (the first code better than the
-start, U0 + 1 or the empty packing, then the first one better than the last
-recorded), so the last is the first best code in candidate order, whatever
-the start and wherever a bound stops the run.  So an uncapped run records
-the same codes, prunes alike, and returns the same value and witness in a
-subsequence of the nodes of the search without the rule, the start or the
-stops.  Every cell is a run of servers (a cell-prefix column splits a run
-into two), so `cells` is the bitmask of the servers s (from 0) in one cell
-with s+1; placing candidate j makes it cells & ~(masks[j] ^ masks[j] >> 1).
+start, the top-of-band code or the empty packing, then the first one better
+than the last recorded), so the last is the first best code in candidate
+order, whatever the start and wherever a bound stops the run.  So an
+uncapped run records the same codes and prunes alike, in a subsequence of
+the nodes of the search without the rule, the start or the stops: it
+returns the same value, and the same witness unless it records none and
+returns its start.  Every cell is a run of servers (a cell-prefix column
+splits a run into two), so `cells` is the bitmask of the servers s (from 0)
+in one cell with s+1; placing candidate j makes it
+cells & ~(masks[j] ^ masks[j] >> 1).
 """
 
 from __future__ import annotations
@@ -262,18 +252,13 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
       of room saves at most one.
 
     A candidate whose bound reaches the best weight is not descended into:
-    its subtree holds no better code and counts no nodes.  So an uncapped
-    run finds the optimum and witness of the scan without the bound and
-    without the canonical rule of the module docstring, in a subsequence
-    of its nodes.  A run cut short by the budget reports the bound at the
-    empty placement as `lower`.  That bound is at least the floor (r+1)n,
-    since no copy saves more than k-1, and once n >= (k-1) C(m, r+k-1) it
-    equals the large-n weight n(r+k) - (k-1) C(m, r+k-1).  That is also U0
-    there, so the first code recorded meets it and the run returns, exact.
-
-    When the root floor equals U0 and k <= 2 or m > r+k, the top-of-band
-    code is the scan's answer (module docstring) and is returned at 0 nodes
-    under any budget, with no tables built.
+    its subtree holds no better code and counts no nodes.  The best starts
+    as the top-of-band code, so an uncapped run returns the scan's first
+    optimum in candidate order when it weighs less than U0, and the
+    top-of-band code when U0 is optimal.  The search returns as soon as its
+    best meets the bound at the empty placement (the root floor), at 0
+    nodes under any budget when that floor is U0.  A run cut short by the
+    budget reports the root floor as `lower`, with its best code.
     """
     validate_params(p)
     n, k, m, r = p.n, p.k, p.m, p.r
@@ -311,12 +296,11 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
 
     room0 = (k - 1) * math.comb(m, top - 1)
     root_floor = weight_floor(0, 0, n, 0, room0)
-    u0 = top * n - min(n, room0)  # the weight of the top-of-band code
-    if root_floor == u0 and (k <= 2 or k < m - r):
-        band = [col for col in cols if len(col) == top - 1 for _ in range(k - 1)]
-        return SearchResult(u0, BatchCode(m, (band + [cols[-1]] * n)[:n]), True)
-    # Just above U0, so only codes at least as light as it are recorded.
-    best_weight = u0 + 1
+    band = [col for col in cols if len(col) == top - 1 for _ in range(k - 1)]
+    top_code = BatchCode(m, (band + [cols[-1]] * n)[:n])
+    best_weight = u0 = top * n - min(n, room0)  # the weight of top_code
+    if root_floor == u0:
+        return SearchResult(u0, top_code, True)
     # Cardinalities are nondecreasing: first_wider[c] is the index of the
     # first candidate of cardinality >= c, where pruning starts.
     first_wider = [bisect_left(cards, c) for c in range(best_weight + 1)]
@@ -366,11 +350,10 @@ def exact_min_weight(p: CodeParams, budget: SearchBudget | None = None) -> Searc
             j = fit + 1
 
     root = (0, 0, n, 0, room0, (1 << (m - 1)) - 1, start, None)
-    if stopped := _explore("exact_min_weight", descend, *root):
-        witness = _witness(m, cols, best) if best else None
-        return SearchResult(root_floor, witness, False, stopped)
-    assert best is not None  # all-(r+k)-cardinality multisets are always codes
-    return SearchResult(best_weight, _witness(m, cols, best), True, nodes)
+    stopped = _explore("exact_min_weight", descend, *root)
+    witness = _witness(m, cols, best) if best else top_code
+    value = root_floor if stopped else best_weight
+    return SearchResult(value, witness, not stopped, stopped or nodes)
 
 
 def uniform_packing_max(

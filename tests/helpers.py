@@ -25,6 +25,7 @@ from rcbc import (
     parse_matrix,
     plan_retrieval,
     verify,
+    weight,
 )
 from rcbc.core import _check_dimensions, _check_serviceability, _masks, _Value
 from rcbc.retrieval import _find_assignment
@@ -320,6 +321,27 @@ def reference_exact_min_weight(p: CodeParams, budget: SearchBudget) -> SearchRes
         return SearchResult((r + 1) * n, witness, False, meter.nodes)
     witness = BatchCode(m, [cols[j] for j in best])
     return SearchResult(int(best_weight), witness, True, meter.nodes)
+
+
+def top_of_band_code(p: CodeParams) -> BatchCode:
+    """The first n columns of each (r+k-1)-subset k-1 times, in
+    lexicographic order, then {1, ..., r+k} repeated: a code for every valid
+    p, of weight U0 = (r+k)n - min(n, (k-1) C(m, r+k-1))."""
+    n, k, m, r = p.n, p.k, p.m, p.r
+    band = [
+        col
+        for col in itertools.combinations(range(1, m + 1), r + k - 1)
+        for _ in range(k - 1)
+    ]
+    return BatchCode(m, (band + [tuple(range(1, r + k + 1))] * n)[:n])
+
+
+def min_weight_witness(p: CodeParams, want: SearchResult) -> tuple:
+    """Columns exact_min_weight returns, given the reference scan's exact
+    result: the scan's witness when the optimum is below U0, else the
+    top-of-band code, where the search starts."""
+    top = top_of_band_code(p)
+    return want.witness.columns if want.value < weight(top) else top.columns
 
 
 def reference_uniform_packing_max(

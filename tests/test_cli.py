@@ -358,6 +358,19 @@ class TestOptimal:
         assert "# exact: no" in out
         assert "# weight-lower-bound: 20" in out
 
+    def test_cut_short_run_prints_its_best_code(self, capsys):
+        # The search starts from the top-of-band code, so even a run stopped
+        # at its first node has a code to print.
+        code, out, _ = run(
+            capsys, "optimal", "--params", "10,3,6,1", "--node-limit", "1"
+        )
+        assert code == 3
+        assert "# weight-lower-bound: 20" in out
+        assert "# best-found-weight: 30" in out
+        built = parse_matrix(matrix_part(out))
+        assert (built.m, built.n, weight(built)) == (6, 10, 30)
+        assert verify(built, CodeParams(10, 3, 6, 1)).ok
+
     def test_time_limit_exhausted(self, capsys):
         code, out, _ = run(
             capsys, "optimal", "--params", "30,4,7,1", "--time-limit", "1e-9"
@@ -618,7 +631,7 @@ class TestEntryPoint:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["optimal", "--params", "1200,3,4,1"],
+            ["optimal", "--params", "1100,3,16,1"],
         ],
     )
     def test_search_past_the_recursion_limit_exits_2(self, argv):

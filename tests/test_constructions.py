@@ -399,6 +399,28 @@ class TestConstructOptimal:
             b, _ = construct_optimal(p)
             assert a == b
 
+    def test_built_weight_must_match_its_row(self, monkeypatch):
+        # A builder whose code is heavier than its row's weight (here the
+        # k = 1 replication with its first column widened to every server)
+        # is refused rather than returned.
+        from rcbc import constructions
+
+        real = constructions._regimes
+
+        def widened(p, budget):
+            rows, budget_limited = real(p, budget)
+            tag, value, build = rows[0]
+
+            def heavier():
+                return BatchCode(p.m, [range(1, p.m + 1), *build().columns[1:]])
+
+            return [(tag, value, heavier)], budget_limited
+
+        monkeypatch.setattr(constructions, "_regimes", widened)
+        match = "constructed weight 11 differs from predicted 10"
+        with pytest.raises(RuntimeError, match=match):
+            construct_optimal(CodeParams(5, 1, 3, 1))
+
     def test_uncovered_parameters_raise(self):
         with pytest.raises(NoKnownConstruction) as info:
             construct_optimal(CodeParams(7, 3, 5, 1))

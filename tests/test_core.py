@@ -15,6 +15,7 @@ from rcbc import (
     ParameterError,
     RowContainmentWitness,
     ServiceWitness,
+    StrategyDisagreement,
     VerifyReport,
     canonicalize,
     construct_large_n,
@@ -290,6 +291,18 @@ class TestVerify:
         report = cross_check(code, CodeParams(2, 2, 3, 1))
         assert not report.ok
         assert report.witness.confirms(code, CodeParams(2, 2, 3, 1))
+
+    def test_cross_check_raises_when_strategies_disagree(self, monkeypatch):
+        # The strategies are equivalent, so only a broken one can split the
+        # verdicts: here "definitional" rejects a code the other two accept.
+        monkeypatch.setattr(
+            rcbc.core,
+            "_verify_definitional",
+            lambda code, p: VerifyReport(False, "definitional"),
+        )
+        detail = "definitional=False, column-union=True, row-containment=True"
+        with pytest.raises(StrategyDisagreement, match=detail):
+            cross_check(tall_code(), TALL_PARAMS)
 
 
 class TestMoveOnes:

@@ -34,8 +34,10 @@ from helpers import (
     _RefPlacement,
     brute_min_weight,
     cardinality_profile,
+    min_weight_witness,
     reference_exact_min_weight,
     reference_uniform_packing_max,
+    top_of_band_code,
     valid_kr_pairs,
 )
 
@@ -306,8 +308,10 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("node_limit", NODE_CAPS)
     def test_exact_min_weight(self, node_limit):
         # The weight bound only skips subtrees, so an exact run finds the
-        # reference's optimum and witness in no more nodes, and a capped run
-        # has got at least as far as the reference.
+        # reference's optimum in no more nodes, with the reference's witness
+        # below U0 and the top-of-band code, where the search starts, at U0.
+        # A capped run has got at least as far as the reference, and every
+        # run has a witness.
         budget = SearchBudget(node_limit=node_limit)
         for m in range(1, 7):
             for n in range(1, 9):
@@ -316,27 +320,26 @@ class TestAgainstReferenceLoop:
                     got = exact_min_weight(p, budget)
                     want = reference_exact_min_weight(p, budget)
                     assert got.nodes <= want.nodes, p
+                    assert verify(got.witness, p).ok, p
                     if want.exact:
                         assert outcome(got)[:3] == outcome(want)[:3], p
-                        assert got.witness.columns == want.witness.columns, p
+                        assert got.witness.columns == min_weight_witness(p, want), p
                         continue
                     if want.witness is not None:
                         assert weight(got.witness) <= weight(want.witness), p
-                    if got.witness is not None:
-                        assert verify(got.witness, p).ok, p
                     if not got.exact:
                         assert got.bound == "lower", p
                         # The root bound lies between the floor and the optimum.
                         assert want.value <= got.value <= exact_min_weight(p).value, p
 
     def test_exact_min_weight_at_the_root(self):
-        # Where the root floor meets U0 and the top-of-band code is the
-        # scan's (k <= 2, or m > r+k and n >= (k-1) C(m, r+k-1)), the answer
-        # comes before the first node, so a 1-node budget gets the uncapped
-        # reference's value and witness.  Max-k tuples with k >= 3 search.
-        # No large-n tuple with k >= 3 has n <= 8, so the grid gets those
-        # with k = 3, m <= 5 at n = 2 C(m, r+2) and one more (the reference
-        # takes seconds on the next, (30, 4, 5, 0)).
+        # Where the root floor meets U0 (k <= 2, or n >= (k-1) C(m, r+k-1)),
+        # the top-of-band code is returned before the first node, so a
+        # 1-node budget gets the uncapped reference's value, with that code
+        # as witness.  Every other tuple searches, and the budget stops it at
+        # its first node.  No large-n tuple with k >= 3 and m > r+k has
+        # n <= 8, so the grid gets those with k = 3, m <= 5 at n = 2 C(m, r+2)
+        # and one more (the reference takes seconds on the next, (30, 4, 5, 0)).
         first, uncapped = SearchBudget(node_limit=1), SearchBudget(node_limit=math.inf)
         tuples = [
             CodeParams(n, k, m, r)
@@ -351,14 +354,15 @@ class TestAgainstReferenceLoop:
         for p in tuples:
             n, k, m, r = p.n, p.k, p.m, p.r
             got = exact_min_weight(p, first)
-            if k <= 2 or (k < m - r and n >= (k - 1) * math.comb(m, r + k - 1)):
+            if k <= 2 or n >= (k - 1) * math.comb(m, r + k - 1):
                 want = reference_exact_min_weight(p, uncapped)
-                assert outcome(got) == (*outcome(want)[:3], 0, want.witness.columns), p
+                top = top_of_band_code(p)
+                assert outcome(got) == (*outcome(want)[:3], 0, top.columns), p
                 answered += 1
-            elif k == m - r:
-                assert got.nodes > 0, p
+            else:
+                assert (got.exact, got.nodes) == (False, 1), p
                 searched += 1
-        assert (answered, searched) == (279, 50)
+        assert (answered, searched) == (283, 101)
 
 
 class TestExactMinWeight:
@@ -439,11 +443,20 @@ class TestExactMinWeight:
         assert result.nodes < 60
 
     def test_budget_exhaustion_reports_root_bound(self):
-        # A max-k tuple (m = r+k) with k = 3 is still searched.  n = 20 is
-        # past (k-1) C(m, r+k-1) = 8, so the room count gives the large-n
-        # weight n(r+k) - (k-1) C(m, r+k-1) = 72 before any column is placed.
+        # n = 20 is past (k-1) C(m, r+k-1) = 8, so the room count gives the
+        # large-n weight n(r+k) - (k-1) C(m, r+k-1) = 72 before any column is
+        # placed.  The top-of-band code weighs that: exact at 0 nodes.
         result = exact_min_weight(CodeParams(20, 3, 4, 1), SearchBudget(node_limit=1))
-        assert (result.value, result.exact, result.bound) == (72, False, "lower")
+        assert (result.value, result.exact, result.nodes) == (72, True, 0)
+        # At n = 7 the room count caps the saving at 8: the root floor, 20,
+        # lies above (r+1)n = 14 and below U0 = 21.  Cut short at its first
+        # node, the search reports that floor, with the top-of-band code.
+        p = CodeParams(7, 3, 4, 1)
+        result = exact_min_weight(p, SearchBudget(node_limit=1))
+        assert (result.value, result.exact, result.bound, result.nodes) == (
+            20, False, "lower", 1
+        )
+        assert result.witness == top_of_band_code(p)
 
     def test_proves_12_5_6_0(self):
         # The one tuple with m <= 6, n <= 12 that needs the cells at 1M nodes.
@@ -645,21 +658,20 @@ class TestBoundStops:
 
     def test_large_n_meets_the_root_floor_at_once(self):
         # From n = (k-1) C(m, r+k-1) on, the root floor is the large-n
-        # weight; the search returns at the first code that weighs it, within
-        # one scan of the candidates below its n levels.
+        # weight, which the top-of-band code weighs: it is returned at the
+        # root, with no node searched, max-k tuples (m = r+k) included.
         for m in range(2, 9):
             for r in range(m - 1):
                 for k in range(2, m - r + 1):
                     n0 = (k - 1) * math.comb(m, r + k - 1)
-                    candidates = sum(math.comb(m, c) for c in range(r + 1, r + k)) + 1
                     for n in (n0, n0 + 1):
-                        result = exact_min_weight(CodeParams(n, k, m, r))
-                        assert result.exact, (n, k, m, r)
-                        assert result.value == (r + k) * n - n0, (n, k, m, r)
-                        assert result.nodes < n + candidates, (n, k, m, r)
+                        p = CodeParams(n, k, m, r)
+                        result = exact_min_weight(p)
+                        expected = ((r + k) * n - n0, True, 0)
+                        assert (result.value, result.exact, result.nodes) == expected, p
+                        assert result.witness == top_of_band_code(p), p
         result = exact_min_weight(CodeParams(105, 4, 7, 1))
-        assert (result.value, result.exact) == (420, True)
-        assert result.nodes < 200
+        assert (result.value, result.exact, result.nodes) == (420, True, 0)
 
 
 class TestPinnedSearches:
@@ -872,7 +884,7 @@ class TestRecursionLimit:
     @pytest.mark.parametrize(
         "search, args",
         [
-            (exact_min_weight, (CodeParams(1200, 3, 4, 1),)),
+            (exact_min_weight, (CodeParams(1100, 3, 16, 1),)),
             (uniform_packing_max, (4, 50, 0, 2)),
         ],
         ids=["exact_min_weight", "uniform_packing_max"],
@@ -885,11 +897,14 @@ class TestRecursionLimit:
 
     def test_below_the_limit_still_proves(self):
         # 900 columns placed: 900 levels deep.
-        result = exact_min_weight(CodeParams(900, 3, 4, 1))
-        assert (result.value, result.exact, result.nodes) == (3_592, True, 910)
-        # At k = 2 the top-of-band code meets the root floor: no recursion.
+        result = exact_min_weight(CodeParams(900, 3, 31, 0))
+        assert (result.value, result.exact, result.nodes) == (1_799, True, 1_366)
+        # The top-of-band code meets the root floor: no recursion, at k = 2
+        # and on a max-k tuple with k = 3 alike.
         result = exact_min_weight(CodeParams(900, 2, 4, 1))
         assert (result.value, result.exact, result.nodes) == (2_694, True, 0)
+        result = exact_min_weight(CodeParams(900, 3, 4, 1))
+        assert (result.value, result.exact, result.nodes) == (3_592, True, 0)
         # C(40, 2) = 780 pairs, each once: a closed form, with no recursion.
         result = uniform_packing_max(2, 40, 1, 2)
         assert (result.value, result.exact, result.nodes) == (780, True, 0)
