@@ -45,11 +45,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--params", help="packed parameters n,k,m,r")
-    sub.add_argument("--n", type=_int, help="number of files")
-    sub.add_argument("--k", type=_int, help="batch size")
-    sub.add_argument("--m", type=_int, help="number of servers")
-    sub.add_argument("--r", type=_int, help="tolerated server outages")
+    sub.add_argument("--params", required=True, help="parameters n,k,m,r")
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
@@ -68,17 +64,8 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_params(args: argparse.Namespace) -> CodeParams:
-    if args.params is not None:
-        if any(getattr(args, f) is not None for f in "nkmr"):
-            raise ValueError("--params cannot be combined with --n/--k/--m/--r")
-        usage = "--params needs four comma-separated integers"
-        n, k, m, r = _int_list(args.params, usage, count=4)
-    else:
-        for f in "nkmr":
-            if getattr(args, f) is None:
-                raise ValueError(f"missing --{f} (or pass --params n,k,m,r)")
-        n, k, m, r = args.n, args.k, args.m, args.r
-    p = CodeParams(n, k, m, r)
+    usage = "--params needs four comma-separated integers"
+    p = CodeParams(*_int_list(args.params, usage, count=4))
     validate_params(p)
     return p
 
@@ -258,16 +245,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcbc",
         description="Redundant batch codes: construct, verify, plan retrieval, search.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    sub = subs.add_parser("construct", help="emit an optimal code for a covered regime")
+    sub = add_command("construct", help="emit an optimal code for a covered regime")
     _add_param_flags(sub)
     _add_budget_flags(sub)
     sub.add_argument("--out", help="output file (default stdout)")
     sub.set_defaults(handler=_cmd_construct)
 
-    sub = subs.add_parser("verify", help="check a matrix file against parameters")
+    sub = add_command("verify", help="check a matrix file against parameters")
     _add_param_flags(sub)
     sub.add_argument(
         "--strategy",
@@ -278,20 +267,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("file", help="matrix file, or - for stdin")
     sub.set_defaults(handler=_cmd_verify)
 
-    sub = subs.add_parser("retrieve", help="plan one server per demanded file")
+    sub = add_command("retrieve", help="plan one server per demanded file")
     _add_param_flags(sub)
     sub.add_argument("--demand", required=True, help="files to fetch, e.g. 1,4")
     sub.add_argument("--down", default="", help="unavailable servers, e.g. 1,2,3")
     sub.add_argument("file", help="matrix file, or - for stdin")
     sub.set_defaults(handler=_cmd_retrieve)
 
-    sub = subs.add_parser("optimal", help="exact minimum weight by branch and bound")
+    sub = add_command("optimal", help="exact minimum weight by branch and bound")
     _add_param_flags(sub)
     _add_budget_flags(sub)
     sub.add_argument("--out", help="output file (default stdout)")
     sub.set_defaults(handler=_cmd_optimal)
 
-    sub = subs.add_parser("table", help="CSV sweep comparing formulas to the oracle")
+    sub = add_command("table", help="CSV sweep comparing formulas to the oracle")
     sub.add_argument("--n", required=True, help="range: N, LO:HI, or comma list")
     sub.add_argument("--k", required=True, help="range: N, LO:HI, or comma list")
     sub.add_argument("--m", required=True, help="range: N, LO:HI, or comma list")
@@ -302,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(sub)
     sub.set_defaults(handler=_cmd_table)
 
-    sub = subs.add_parser(
+    sub = add_command(
         "girth-search", help="most edges of an m-vertex graph with girth >= bound"
     )
     sub.add_argument("--m", type=_int, required=True, help="number of vertices")

@@ -37,10 +37,8 @@ def matrix_part(text: str) -> str:
 
 
 class TestConstruct:
-    def test_reference_matrix_with_individual_flags(self, capsys):
-        code, out, err = run(
-            capsys, "construct", "--n", "4", "--k", "3", "--m", "6", "--r", "3"
-        )
+    def test_reference_matrix(self, capsys):
+        code, out, err = run(capsys, "construct", "--params", "4,3,6,3")
         assert code == 0, err
         assert "# regime: circulant" in out
         assert "# weight: 16" in out
@@ -103,17 +101,17 @@ class TestConstruct:
         assert code == 2
         assert "m-r" in err
 
-    def test_params_conflicts_with_flags(self, capsys):
-        code, _, err = run(
-            capsys, "construct", "--params", "4,3,6,3", "--n", "4"
+    def test_tuple_only_as_params(self, capsys):
+        # --n/--k/--m/--r are ranges of `table` only.
+        code, out, _ = run(
+            capsys, "construct", "--n", "4", "--k", "3", "--m", "6", "--r", "3"
         )
-        assert code == 2
-        assert "cannot be combined" in err
+        assert (code, out) == (2, "")
 
     def test_missing_flags(self, capsys):
-        code, _, err = run(capsys, "construct", "--n", "4", "--k", "3")
+        code, _, err = run(capsys, "construct", "--node-limit", "5")
         assert code == 2
-        assert "missing --m" in err
+        assert "required: --params" in err
 
     def test_malformed_params(self, capsys):
         code, _, err = run(capsys, "construct", "--params", "4,3,6")
@@ -561,6 +559,30 @@ class TestUsage:
         code, _, _ = run(capsys, "construct", "--params", "4,3,6,3", "--wat")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["construct", "--params", "4,3,6,3", "--node", "5"], "--node"),
+            (["verify", "--params", "4,3,6,3", "--strat", "all", "FILE"], "--strat"),
+            (["retrieve", "--params", "4,3,6,3", "--demand", "1", "--do", "2",
+              "FILE"], "--do"),
+            (["optimal", "--params", "10,3,6,1", "--node", "1"], "--node"),
+            (["table", "--n", "2", "--k", "2", "--m", "4", "--r", "1", "--job",
+              "2"], "--job"),
+            (["girth-search", "--m", "7", "--girth", "5", "--n", "10"], "--n"),
+        ],
+        ids=["construct", "verify", "retrieve", "optimal", "table", "girth-search"],
+    )
+    def test_option_names_are_not_abbreviated(self, capsys, tmp_path, argv, prefix):
+        # A prefix of an option is not that option: `--n` is not
+        # `--node-limit`, and each line exits 2 before any search.
+        path = tmp_path / "tall.txt"
+        path.write_text(TALL_TEXT)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {prefix} " in err
+
     @pytest.mark.parametrize("field", ["1_0", "+2", " 3"])
     def test_integers_are_decimal_digits_only(self, capsys, tmp_path, field):
         path = tmp_path / "tall.txt"
@@ -650,9 +672,9 @@ class TestStrictIntegerFlags:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["construct", "--n", "1_0", "--k", "3", "--m", "6", "--r", "3"],
-            ["construct", "--n", "10", "--k", "+3", "--m", "6", "--r", "3"],
-            ["optimal", "--n", "4", "--k", "3", "--m", " 6", "--r", "3"],
+            ["optimal", "--params", "4,2,4,1", "--node-limit", "1_0"],
+            ["girth-search", "--m", "5", "--girth", "4", "--node-limit", "+5"],
+            ["table", "--n", "5", "--k", "2", "--m", "4", "--r", "1", "--jobs", " 2"],
             ["construct", "--params", "4,3,6,3", "--node-limit", "1_000"],
             ["girth-search", "--m", " 5", "--girth", "4"],
             ["girth-search", "--m", "5", "--girth", "+4"],

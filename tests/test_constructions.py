@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from rcbc import constructions
 from rcbc import (
     BatchCode,
     CodeParams,
@@ -366,6 +368,19 @@ class TestPredictedWeight:
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ParameterError):
             predicted_weight(CodeParams(3, 4, 6, 3))
+
+    def test_disagreeing_formulas_raise(self, monkeypatch):
+        # max-k and large-n both cover (10, 3, 4, 1) with weight 32; a wrong
+        # C(4, 3) = 5 moves large-n's to 40 - 2*5 = 30, and the guard fires.
+        def comb(a, b):
+            return 5 if (a, b) == (4, 3) else math.comb(a, b)
+
+        monkeypatch.setattr(constructions, "math", SimpleNamespace(comb=comb))
+        p = CodeParams(10, 3, 4, 1)
+        detail = "formulas disagree: max-k=32, large-n=30"
+        for call in (predicted_weight, construct_optimal):
+            with pytest.raises(RuntimeError, match=detail):
+                call(p)
 
 
 class TestConstructOptimal:
